@@ -306,7 +306,7 @@ def _solve_report(settings: dict[str, str]) -> list[str]:
 
     e_out = sol.E
     if extras.get("ground_shift"):
-        e_out += 1.5 * params.omega
+        e_out += 0.5 * dim * params.omega
 
     return [
         f"system = {name}",
@@ -473,7 +473,7 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
                 raise ConfigError("scan needs nu/lambda or n_sum/l_sum input, not q")
             nu, lam = data
 
-        shift = 1.5 * params.omega if extras.get("ground_shift") else 0.0
+        shift = 0.5 * spec.D * params.omega if extras.get("ground_shift") else 0.0
 
         q_plain = float(q_phi(nu, lam, 2.0))
         _stage_guard(name, params, n_body, q_plain)

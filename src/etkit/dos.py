@@ -47,6 +47,14 @@ __all__ = [
 ]
 
 
+def _positive(name: str, x) -> float:
+    """x as a float; DomainError unless it is finite and positive."""
+    x = float(x)
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class RadialMode:
     """Effective mass, stiffness and frequency of the radial vibration."""
@@ -74,7 +82,8 @@ def _radial_mode_terms(
         + spec.onebody.d2(r0 / spec.N) / spec.N
         + spec.pairwise.d2(r0 / root_c)
     )
-    return mu, stiffness
+    # triples may compute in numpy scalars; results leave as plain floats
+    return float(mu), float(stiffness)
 
 
 def _slope_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float]:
@@ -104,7 +113,7 @@ def _slope_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float]
         + root_c * v1
         + r0 * v2
     )
-    return b_n, b_d
+    return float(b_n), float(b_d)
 
 
 def radial_mode(spec: SystemSpec, lam) -> RadialMode:
@@ -113,9 +122,7 @@ def radial_mode(spec: SystemSpec, lam) -> RadialMode:
     Raises NegativeStiffness when the orbit is radially unstable (for
     example attractive potentials steeper than 1/r^2).
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    lam = _positive("lambda", lam)
     r0 = solve_radius(spec, lam)
     mu, stiffness = _radial_mode_terms(spec, lam, r0)
     a_sq = stiffness / mu
@@ -134,9 +141,7 @@ def dos_energy(spec: SystemSpec, lam, nu) -> float:
     this is the regime the expansion is derived in, although any
     positive nu is accepted.
     """
-    nu = float(nu)
-    if nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
+    nu = _positive("nu", nu)
     mode = radial_mode(spec, lam)
     return energy(spec, lam).E + mode.a * nu
 
@@ -147,9 +152,7 @@ def slope_b(spec: SystemSpec, lam) -> tuple[float, float]:
     Kept split because phi uses them in the order lambda * A * (b_d /
     b_n); dividing late avoids overflow when both parts are large.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    lam = _positive("lambda", lam)
     r0 = solve_radius(spec, lam)
     b_n, b_d = _slope_terms(spec, lam, r0)
     if b_d == 0.0:
@@ -167,8 +170,8 @@ def compute_phi(spec: SystemSpec, lam) -> PhiResult:
             "phi needs a state with orbital excitation: lambda = 0 "
             "(all internal modes in an s-wave in D = 2)"
         )
-    if lam < 0.0:
-        raise DomainError(f"lambda must be non-negative, got {lam!r}")
+    if not math.isfinite(lam) or lam < 0.0:
+        raise DomainError(f"lambda must be non-negative and finite, got {lam!r}")
     r0 = solve_radius(spec, lam)
     mu, stiffness = _radial_mode_terms(spec, lam, r0)
     a_sq = stiffness / mu
@@ -205,10 +208,10 @@ def improved_energy_at(
     exactly 2 the variational tag of the result is reset to NONE: the
     bound catalogue only covers the plain method.
     """
-    nu = float(nu)
+    nu = _positive("nu", nu)
     lam = float(lam)
-    if nu <= 0.0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
+    if not math.isfinite(lam) or lam < 0.0:
+        raise DomainError(f"lambda must be non-negative and finite, got {lam!r}")
     if phi is None:
         diag: PhiResult | None = compute_phi(spec, lam)
         phi_used = diag.phi

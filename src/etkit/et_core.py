@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import AmbiguousSolution, ConvergenceError, NoSolution
 from .model import Bound, EtSolution, SystemSpec
@@ -28,6 +27,13 @@ __all__ = ["solve_radius", "energy", "BRACKET_LO", "BRACKET_HI"]
 BRACKET_LO = 1e-6
 BRACKET_HI = 1e6
 _POINTS_PER_DECADE = 80
+_GRID = np.geomspace(
+    BRACKET_LO,
+    BRACKET_HI,
+    int(math.log10(BRACKET_HI / BRACKET_LO) * _POINTS_PER_DECADE) + 1,
+)
+_GRID_POINTS = _GRID.tolist()
+_EPS = float(np.finfo(float).eps)
 
 # |lhs - rhs| at the accepted root must not exceed this fraction of the
 # larger side of the stationarity equation
@@ -35,7 +41,10 @@ _RESIDUAL_RTOL = 1e-10
 
 
 def _sides(spec: SystemSpec, q: float, r: float) -> tuple[float, float]:
-    """Left and right side of the stationarity equation at radius r."""
+    """Left and right side of the stationarity equation at radius r.
+
+    r may be a float or a numpy array of radii.
+    """
     p = q / r
     root_c = math.sqrt(spec.pair_count)
     lhs = spec.N * p * spec.kinetic.d1(p)
@@ -58,41 +67,117 @@ def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
     )
 
 
+def _mismatch_pointwise(spec: SystemSpec, q: float) -> np.ndarray:
+    """Mismatch on the scan grid, one scalar call per point.
+
+    Points where a triple raises an arithmetic error read as NaN.
+    """
+    out = np.empty(_GRID.size)
+    for i, r in enumerate(_GRID_POINTS):
+        try:
+            out[i] = _mismatch(spec, q, r)
+        except (OverflowError, ValueError, ZeroDivisionError):
+            out[i] = math.nan
+    return out
+
+
+def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
+    """Mismatch on the scan grid, in one array call where the triples allow.
+
+    Triples that reject arrays, or do not return one number per grid
+    point, are evaluated point by point instead.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            f = np.asarray(_mismatch(spec, q, _GRID), dtype=float)
+    except (TypeError, ValueError, ArithmeticError):
+        return _mismatch_pointwise(spec, q)
+    if f.shape != _GRID.shape:
+        return _mismatch_pointwise(spec, q)
+    return f
+
+
+def _brackets(f: np.ndarray) -> list[tuple[float, float]]:
+    """Grid intervals on which the mismatch values f change sign.
+
+    A grid point where f is exactly zero is its own bracket; a
+    non-finite value breaks any bracket across it.
+    """
+    finite = np.isfinite(f)
+    zero = finite & (f == 0.0)
+    neg = f < 0.0
+    change = np.zeros_like(finite)
+    change[1:] = finite[1:] & finite[:-1] & ~zero[1:] & (neg[1:] != neg[:-1])
+    return [
+        (_GRID_POINTS[i], _GRID_POINTS[i]) if zero[i]
+        else (_GRID_POINTS[i - 1], _GRID_POINTS[i])
+        for i in np.flatnonzero(zero | change)
+    ]
+
+
 def _scan_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
     """Sign-change intervals of the stationarity mismatch on a log grid."""
-    decades = math.log10(BRACKET_HI / BRACKET_LO)
-    grid = np.geomspace(BRACKET_LO, BRACKET_HI, int(decades * _POINTS_PER_DECADE) + 1)
-    brackets: list[tuple[float, float]] = []
-    prev_r = prev_f = None
-    for r in grid:
-        try:
-            f = _mismatch(spec, q, float(r))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            f = math.nan
-        if not math.isfinite(f):
-            prev_r = prev_f = None
-            continue
-        if f == 0.0:
-            brackets.append((float(r), float(r)))
-        elif prev_f is not None and (f < 0.0) != (prev_f < 0.0):
-            brackets.append((prev_r, float(r)))
-        prev_r, prev_f = float(r), f
-    return brackets
+    return _brackets(_mismatch_on_grid(spec, q))
+
+
+def _brent(f, a: float, b: float, maxiter: int = 200) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    f(a) and f(b) must differ in sign.  The bracket shrinks until it is
+    no wider than 4 eps |x|, a purely relative tolerance, so roots are
+    placed to full precision whatever their scale.
+    """
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("f(a) and f(b) must have opposite signs")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(maxiter):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            # secant step, or inverse quadratic interpolation once three
+            # distinct points are known
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    raise RuntimeError(f"no convergence in {maxiter} iterations")
 
 
 def _refine(spec: SystemSpec, q: float, lo: float, hi: float) -> float:
     if lo == hi:
         return lo
     try:
-        return float(
-            brentq(
-                lambda r: _mismatch(spec, q, r),
-                lo,
-                hi,
-                rtol=4.0 * np.finfo(float).eps,
-                maxiter=200,
-            )
-        )
+        return float(_brent(lambda r: _mismatch(spec, q, r), lo, hi))
     except (RuntimeError, ValueError) as exc:
         raise ConvergenceError(
             f"root refinement failed on [{lo:.6g}, {hi:.6g}]: {exc}"
@@ -161,5 +246,5 @@ def energy(spec: SystemSpec, q) -> EtSolution:
     r0 = solve_radius(spec, q)
     p0 = q / r0
     return EtSolution(
-        E=_energy_at(spec, q, r0), r0=r0, p0=p0, q_used=q, bound=spec.bound
+        E=float(_energy_at(spec, q, r0)), r0=r0, p0=p0, q_used=q, bound=spec.bound
     )

@@ -50,6 +50,15 @@ class InteractionTriple:
     system supplies value, d1 and d2 as consistent callables.
     ``validate_derivatives`` offers a finite-difference cross-check for
     tests.
+
+    The bracket scan calls the callables once with a numpy array of
+    radii or momenta, so write them with ``np.*`` functions and
+    element-wise arithmetic; a constant return value is fine.  Callables
+    that only take scalars (``math.exp``, ``if x > 0``) still work: when
+    the array call raises or returns the wrong shape, the scan falls back
+    to one call per point, which is much slower.  A callable must not
+    reduce its argument (``np.mean``, ``float(x)`` of a size-1 result),
+    since that cannot be told apart from a correct array result.
     """
 
     value: Callable[[float], float]

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, NoBoundState, UnboundRegime
 from .specfun import QuarticSign, beta, lambert_w0, quartic_root_g
 from .model import Bound, InteractionTriple, SystemSpec
@@ -204,10 +206,10 @@ class GaussianParams:
 def gaussian_system(p: GaussianParams, N: int, D: int = 3) -> SystemSpec:
     m, v0, rr = p.m, p.V0, p.R
     pair = InteractionTriple(
-        value=lambda r: -v0 * math.exp(-r * r / (rr * rr)),
-        d1=lambda r: 2.0 * v0 * r / (rr * rr) * math.exp(-r * r / (rr * rr)),
+        value=lambda r: -v0 * np.exp(-r * r / (rr * rr)),
+        d1=lambda r: 2.0 * v0 * r / (rr * rr) * np.exp(-r * r / (rr * rr)),
         d2=lambda r: 2.0 * v0 / (rr * rr)
-        * (1.0 - 2.0 * r * r / (rr * rr)) * math.exp(-r * r / (rr * rr)),
+        * (1.0 - 2.0 * r * r / (rr * rr)) * np.exp(-r * r / (rr * rr)),
         label=f"-{v0:g}*exp(-(r/{rr:g})^2)",
     )
     return SystemSpec(
@@ -312,17 +314,17 @@ def confined_y(p: ConfinedParams, N: int, z: float) -> float:
 
 
 def confined_energy(
-    p: ConfinedParams, N: int, q: float, ground_shift: bool = False
+    p: ConfinedParams, N: int, q: float, ground_shift: bool = False, D: int = 3
 ) -> float:
     """Closed-form lower bound for the confined system.
 
-    ``ground_shift`` adds the 3 omega/2 offset that applies when the
-    confinement acts on absolute coordinates rather than on distances
-    to the centre of mass.
+    ``ground_shift`` adds the D omega/2 zero-point energy of the centre
+    of mass, which applies when the confinement acts on absolute
+    coordinates rather than on distances to the centre of mass.
     """
     if q <= 0.0:
         raise DomainError(f"q must be positive, got {q!r}")
-    shift = 1.5 * p.omega if ground_shift else 0.0
+    shift = 0.5 * D * p.omega if ground_shift else 0.0
     if p.g == 0.0:
         return p.omega * q + shift
     gm = quartic_root_g(QuarticSign.MINUS, confined_y(p, N, q))

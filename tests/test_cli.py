@@ -107,6 +107,24 @@ class TestSolve:
         )
         assert res.returncode == 2
 
+    def test_ground_shift_is_d_omega_over_two(self):
+        # planar pair: Q = 1 gives omega Q = 0.5, and the centre of mass
+        # adds D omega / 2 = 0.5 more
+        res = run_cli(
+            "solve",
+            "--system", "confined",
+            "--D", "2",
+            "--N", "2",
+            "--m", "1",
+            "--omega", "0.5",
+            "--g", "0",
+            "--n-sum", "0",
+            "--l-sum", "0",
+            "--ground-shift", "true",
+        )
+        assert res.returncode == 0
+        assert float(stdout_fields(res.stdout)["E"]) == pytest.approx(1.0, rel=1e-10)
+
     def test_missing_parameter_is_a_config_error(self):
         res = run_cli(
             "solve", "--system", "gaussian", "--m", "1", "--V0", "5", "--q", "1.5"
@@ -220,6 +238,27 @@ class TestScan:
         phis = [float(r["phi_dos"]) for r in rows]
         assert phis == sorted(phis)
         assert all(float(r["E_dos"]) > float(r["E_phi2"]) for r in rows)
+
+    def test_ground_shift_follows_the_dimension(self):
+        # D = 4, g = 0: E = omega Q + 2 omega with Q = 2 (N - 1)
+        res = run_cli(
+            "scan",
+            "--system", "confined",
+            "--D", "4",
+            "--m", "1",
+            "--omega", "0.5",
+            "--g", "0",
+            "--n-sum", "0",
+            "--l-sum", "0",
+            "--ground-shift", "true",
+            "--axis", "N",
+            "--grid", "2:3:2",
+        )
+        assert res.returncode == 0
+        _, rows = csv_rows(res.stdout)
+        for row, expected in zip(rows, [2.0, 3.0]):
+            assert float(row["E_phi2"]) == pytest.approx(expected, rel=1e-10)
+            assert float(row["E_dos"]) == pytest.approx(expected, rel=1e-10)
 
     def test_powerlaw_scan_carries_band_ratio_columns(self):
         res = run_cli(

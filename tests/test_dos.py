@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from etkit import (
     BaryonParams,
     Bound,
+    ConfinedParams,
     DomainError,
     GaussianParams,
     InteractionTriple,
@@ -20,6 +21,8 @@ from etkit import (
     baryon_phi,
     baryon_system,
     compute_phi,
+    confined_phi,
+    confined_system,
     dos_energy,
     energy,
     gaussian_phi,
@@ -189,6 +192,25 @@ class TestComputePhi:
         assert pres.phi == pytest.approx(1.0374196688402428, rel=1e-10)
         assert pres.phi == pytest.approx(baryon_phi(params, 3, 1.0), rel=1e-10)
 
+    def test_small_radius_root_is_placed_to_full_precision(self):
+        # the orbit sits at r0 ~ 0.0027; a root placed to an absolute
+        # 2e-12 misses the stationarity residual by ~1e-10 relative
+        params = PowerLaw2Params(
+            m=1.9595713881996253, a=9.897560162738767, b=-0.9488240274701907
+        )
+        pres = compute_phi(powerlaw2_system(params, 10, 2), 1.0)
+        assert pres.r0_at_lam < 0.003
+        assert pres.phi == pytest.approx(powerlaw2_phi(params.b), rel=1e-9)
+        assert pres.phi == pytest.approx(1.02527, rel=1e-5)
+
+    def test_strong_confinement_root_is_placed_to_full_precision(self):
+        params = ConfinedParams(
+            m=2.5209344269034593, omega=6.555750923870466, g=9.82252483953178
+        )
+        pres = compute_phi(confined_system(params, 6, 2), 1.0)
+        assert pres.phi == pytest.approx(confined_phi(params, 6, 1.0), rel=1e-9)
+        assert pres.phi == pytest.approx(47.739, rel=1e-5)
+
     def test_lambda_zero_undefined(self):
         with pytest.raises(PhiUndefined):
             compute_phi(_harmonic(), 0.0)
@@ -274,3 +296,38 @@ class TestImprovedEnergy:
         sol, pres = improved_energy_at(spec, 0.5, 0.5)
         assert pres.phi == pytest.approx(2.0, abs=1e-12)
         assert sol.E == pytest.approx(3.0, rel=1e-10)
+
+
+class TestNonFiniteInputs:
+    # NaN fails every ordered comparison, so a bare `x <= 0` guard lets it
+    # through to the solver, which then reports a misleading NoSolution
+    BAD = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_radial_mode(self, bad):
+        with pytest.raises(DomainError):
+            radial_mode(_harmonic(), bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_dos_energy(self, bad):
+        with pytest.raises(DomainError):
+            dos_energy(_harmonic(), bad, 0.5)
+        with pytest.raises(DomainError):
+            dos_energy(_harmonic(), 1.0, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_slope_b(self, bad):
+        with pytest.raises(DomainError):
+            slope_b(_harmonic(), bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_compute_phi(self, bad):
+        with pytest.raises(DomainError):
+            compute_phi(_harmonic(), bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_improved_energy_at(self, bad):
+        with pytest.raises(DomainError):
+            improved_energy_at(_harmonic(), bad, 1.0)
+        with pytest.raises(DomainError):
+            improved_energy_at(_harmonic(), 0.5, bad)

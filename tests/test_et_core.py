@@ -2,26 +2,36 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkit import (
     AmbiguousSolution,
+    BaryonParams,
     Bound,
+    ConfinedParams,
     GaussianParams,
     InteractionTriple,
     NoSolution,
+    PowerLaw1Params,
     PowerLaw2Params,
     SystemSpec,
+    baryon_system,
+    confined_system,
     energy,
     gaussian_energy,
     gaussian_system,
+    powerlaw1_system,
     powerlaw2_energy,
     powerlaw2_system,
     solve_radius,
 )
+from etkit import et_core
 
 
 def _coulomb_pair(n_body: int, g: float = 1.0, m: float = 1.0) -> SystemSpec:
@@ -148,3 +158,154 @@ class TestNoSolution:
         spec = gaussian_system(params, 2)
         with pytest.raises(NoSolution):
             solve_radius(spec, 1.5)
+
+
+def _loop_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
+    # reference: the scan as one scalar mismatch call per grid point
+    grid = np.geomspace(et_core.BRACKET_LO, et_core.BRACKET_HI, 961)
+    brackets = []
+    prev_r = prev_f = None
+    for r in grid:
+        try:
+            f = et_core._mismatch(spec, q, float(r))
+        except (OverflowError, ValueError, ZeroDivisionError):
+            f = math.nan
+        if not math.isfinite(f):
+            prev_r = prev_f = None
+            continue
+        if f == 0.0:
+            brackets.append((float(r), float(r)))
+        elif prev_f is not None and (f < 0.0) != (prev_f < 0.0):
+            brackets.append((prev_r, float(r)))
+        prev_r, prev_f = float(r), f
+    return brackets
+
+
+_FAMILIES = {
+    "powerlaw2": [
+        powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=b), n)
+        for b in (-1.5, -1.0, 0.5, 2.0, 3.5) for n in (2, 5)
+    ],
+    "powerlaw1": [
+        powerlaw1_system(PowerLaw1Params(a=0.7, b=b), n)
+        for b in (0.5, 1.0, 3.0) for n in (2, 4)
+    ],
+    "gaussian": [
+        gaussian_system(GaussianParams(m=1.0, V0=v0, R=2.0), n)
+        for v0 in (0.01, 5.0, 40.0) for n in (2, 3)
+    ],
+    "confined": [
+        confined_system(ConfinedParams(m=1.0, omega=1.5, g=g), n)
+        for g in (0.0, 0.3, 9.0) for n in (2, 6)
+    ],
+    "baryon": [
+        baryon_system(BaryonParams(tension_k=0.2, g=g), n)
+        for g in (0.0, 0.27, 0.01) for n in (3, 1000)
+    ],
+}
+_Q_GRID = [0.05, 0.5, 1.0, 1.5, 3.2904, 7.0, 40.0, 1498.5, 1e4]
+
+
+class TestBracketScan:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_array_scan_matches_point_by_point(self, family):
+        for spec in _FAMILIES[family]:
+            for q in _Q_GRID:
+                assert et_core._scan_brackets(spec, q) == _loop_brackets(spec, q)
+                pointwise = et_core._brackets(et_core._mismatch_pointwise(spec, q))
+                assert pointwise == _loop_brackets(spec, q)
+
+    def test_non_finite_points_break_brackets(self):
+        # with T' = 0 and N = 2 the mismatch is -r V'(r); V' is NaN for
+        # 1/e < r < e, and changes sign across that gap and on either side
+        def d1(r):
+            with np.errstate(invalid="ignore"):
+                return np.sin(2.0 * np.log(r)) / np.sqrt(np.abs(np.log(r)) - 1.0)
+
+        flat = InteractionTriple(value=lambda p: 0.0, d1=lambda p: 0.0, d2=lambda p: 0.0)
+        pair = InteractionTriple(value=lambda r: 0.0, d1=d1, d2=lambda r: 0.0)
+        spec = SystemSpec(N=2, D=3, kinetic=flat, pairwise=pair)
+        brackets = et_core._scan_brackets(spec, 1.0)
+        assert brackets == _loop_brackets(spec, 1.0)
+        assert not any(lo < 1.0 < hi for lo, hi in brackets)
+        # sin(2 ln r) vanishes at ln r = k pi / 2 for 1 <= |k| <= 8
+        assert len(brackets) == 16
+
+    def test_scalar_only_triple_solves_through_fallback(self):
+        # math.exp rejects arrays, so the scan evaluates point by point
+        v0, rr = 5.0, 2.0
+        pair = InteractionTriple(
+            value=lambda r: -v0 * math.exp(-r * r / (rr * rr)),
+            d1=lambda r: 2.0 * v0 * r / (rr * rr) * math.exp(-r * r / (rr * rr)),
+            d2=lambda r: 2.0 * v0 / (rr * rr)
+            * (1.0 - 2.0 * r * r / (rr * rr)) * math.exp(-r * r / (rr * rr)),
+        )
+        params = GaussianParams(m=1.0, V0=v0, R=rr)
+        builtin = gaussian_system(params, 2)
+        spec = dataclasses.replace(builtin, pairwise=pair)
+        with pytest.raises(TypeError):
+            et_core._mismatch(spec, 1.5, np.array([1.0, 2.0]))
+        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert et_core._scan_brackets(spec, 1.5) == et_core._scan_brackets(builtin, 1.5)
+        assert energy(spec, 1.5).E == pytest.approx(
+            gaussian_energy(params, 2, 1.5), rel=1e-10
+        )
+
+    def test_branching_triple_solves_through_fallback(self):
+        # an `if` on the argument raises ValueError for arrays
+        def d1(r):
+            return 1.0 if r > 0.0 else 0.0
+
+        linear = InteractionTriple(value=lambda r: r, d1=d1, d2=lambda r: 0.0)
+        spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=linear)
+        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
+        # T = p^2/2, V = r: r0 = (2 q^2)^(1/3) for N = 2
+        assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** (1 / 3), rel=1e-12)
+
+    def test_constant_triples_broadcast(self):
+        # T = |p| and U = k s have constant derivatives; the zero triple is
+        # constant everywhere
+        spec = baryon_system(BaryonParams(tension_k=0.2, g=0.0), 3)
+        f = et_core._mismatch(spec, 2.0, et_core._GRID)
+        assert f.shape == et_core._GRID.shape
+        expected = [et_core._mismatch(spec, 2.0, r) for r in et_core._GRID_POINTS]
+        assert f.tolist() == expected
+        # E = 2 sqrt(k N q) at g = 0
+        assert energy(spec, 2.0).E == pytest.approx(2.0 * math.sqrt(0.2 * 3 * 2.0), rel=1e-12)
+
+    def test_wrong_shape_falls_back(self):
+        # V = r^2/2 whose d1 turns an array argument into a column, so the
+        # array mismatch comes back as a matrix
+        pair = InteractionTriple(
+            value=lambda r: 0.5 * r * r,
+            d1=lambda r: np.reshape(r, (-1, 1)) if np.ndim(r) else r,
+            d2=lambda r: 1.0,
+        )
+        spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
+        assert np.shape(et_core._mismatch(spec, 1.5, et_core._GRID)) == (961, 961)
+        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert energy(spec, 1.5).E == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
+
+
+class TestBrent:
+    @pytest.mark.parametrize("root", [3e-6, 2.7e-3, 1.0, 7.3e2, 4e5])
+    def test_relative_precision_at_every_scale(self, root):
+        x = et_core._brent(lambda r: r**3 - root**3, 0.1 * root, 10.0 * root)
+        assert abs(x - root) <= 8.0 * np.finfo(float).eps * root
+
+    def test_endpoint_root_is_returned(self):
+        assert et_core._brent(lambda r: r - 2.0, 2.0, 5.0) == 2.0
+        assert et_core._brent(lambda r: r - 5.0, 2.0, 5.0) == 5.0
+
+    def test_same_signs_rejected(self):
+        with pytest.raises(ValueError):
+            et_core._brent(lambda r: r, 1.0, 2.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, etkit; print([m for m in sys.modules if m.startswith('scipy')])"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -163,6 +163,13 @@ class TestConfined:
         )
         assert confined_phi(params, 3, 2.0) == 2.0
 
+    def test_ground_shift_is_d_omega_over_two(self):
+        params = ConfinedParams(m=1.0, omega=0.5, g=0.0)
+        for dim in (2, 3, 4):
+            assert confined_energy(
+                params, 2, 1.0, ground_shift=True, D=dim
+            ) == pytest.approx(0.5 + 0.25 * dim, rel=1e-12)
+
     def test_pure_oscillator_matches_solver(self):
         params = ConfinedParams(m=1.0, omega=1.5, g=0.0)
         spec = confined_system(params, 3)
