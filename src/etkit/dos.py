@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     NegativeStiffness,
     PhiUndefined,
+    require_finite_positive,
 )
 from .et_core import energy, solve_radius
 from .model import (
@@ -45,14 +46,6 @@ __all__ = [
     "improved_energy",
     "improved_energy_at",
 ]
-
-
-def _positive(name: str, x) -> float:
-    """x as a float; DomainError unless it is finite and positive."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {x!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ def radial_mode(spec: SystemSpec, lam) -> RadialMode:
     Raises NegativeStiffness when the orbit is radially unstable (for
     example attractive potentials steeper than 1/r^2).
     """
-    lam = _positive("lambda", lam)
+    lam = require_finite_positive("lambda", lam)
     r0 = solve_radius(spec, lam)
     mu, stiffness = _radial_mode_terms(spec, lam, r0)
     a_sq = stiffness / mu
@@ -141,7 +134,7 @@ def dos_energy(spec: SystemSpec, lam, nu) -> float:
     this is the regime the expansion is derived in, although any
     positive nu is accepted.
     """
-    nu = _positive("nu", nu)
+    nu = require_finite_positive("nu", nu)
     mode = radial_mode(spec, lam)
     return energy(spec, lam).E + mode.a * nu
 
@@ -152,7 +145,7 @@ def slope_b(spec: SystemSpec, lam) -> tuple[float, float]:
     Kept split because phi uses them in the order lambda * A * (b_d /
     b_n); dividing late avoids overflow when both parts are large.
     """
-    lam = _positive("lambda", lam)
+    lam = require_finite_positive("lambda", lam)
     r0 = solve_radius(spec, lam)
     b_n, b_d = _slope_terms(spec, lam, r0)
     if b_d == 0.0:
@@ -170,8 +163,7 @@ def compute_phi(spec: SystemSpec, lam) -> PhiResult:
             "phi needs a state with orbital excitation: lambda = 0 "
             "(all internal modes in an s-wave in D = 2)"
         )
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError(f"lambda must be non-negative and finite, got {lam!r}")
+    require_finite_positive("lambda", lam)
     r0 = solve_radius(spec, lam)
     mu, stiffness = _radial_mode_terms(spec, lam, r0)
     a_sq = stiffness / mu
@@ -208,18 +200,14 @@ def improved_energy_at(
     exactly 2 the variational tag of the result is reset to NONE: the
     bound catalogue only covers the plain method.
     """
-    nu = _positive("nu", nu)
-    lam = float(lam)
-    if not math.isfinite(lam) or lam < 0.0:
-        raise DomainError(f"lambda must be non-negative and finite, got {lam!r}")
+    nu = require_finite_positive("nu", nu)
+    lam = require_finite_positive("lambda", lam, allow_zero=True)
     if phi is None:
         diag: PhiResult | None = compute_phi(spec, lam)
         phi_used = diag.phi
     else:
         diag = None
-        phi_used = float(phi)
-        if not math.isfinite(phi_used) or phi_used <= 0.0:
-            raise DomainError(f"phi must be positive, got {phi!r}")
+        phi_used = require_finite_positive("phi", phi)
     sol = energy(spec, q_phi(nu, lam, phi_used))
     if phi_used != 2.0 and sol.bound is not Bound.NONE:
         sol = replace(sol, bound=Bound.NONE)

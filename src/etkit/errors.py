@@ -8,6 +8,8 @@ clauses.
 
 from __future__ import annotations
 
+import math
+
 
 class EtkitError(Exception):
     """Base class for all etkit errors."""
@@ -59,3 +61,16 @@ class UnboundRegime(EtkitError, RuntimeError):
 
 class ConvergenceError(EtkitError, RuntimeError):
     """An iterative scheme failed to reach its tolerance."""
+
+
+def require_finite_positive(name: str, value, allow_zero: bool = False) -> float:
+    """value as a float; DomainError unless it is finite and positive.
+
+    allow_zero admits 0 as well.  NaN fails every ordered comparison, so
+    a bare ``x <= 0`` guard would let it through to a misleading error
+    (or a NaN result) further down.
+    """
+    if 0 < value < math.inf or (allow_zero and value == 0):
+        return float(value)
+    kind = "non-negative" if allow_zero else "positive"
+    raise DomainError(f"{name} must be {kind} and finite, got {value!r}")

@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
-from .errors import AmbiguousSolution, ConvergenceError, NoSolution
+from .errors import (
+    AmbiguousSolution, ConvergenceError, NoSolution, require_finite_positive,
+)
 from .model import Bound, EtSolution, SystemSpec
 
 __all__ = ["solve_radius", "energy", "BRACKET_LO", "BRACKET_HI"]
@@ -120,14 +122,19 @@ def _scan_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
     return _brackets(_mismatch_on_grid(spec, q))
 
 
-def _brent(f, a: float, b: float, maxiter: int = 200) -> float:
+def _brent(
+    f, a: float, b: float, maxiter: int = 200, rtol: float = 2.0 * _EPS,
+    atol: float = 0.0, fa: float | None = None, fb: float | None = None,
+) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
-    f(a) and f(b) must differ in sign.  The bracket shrinks until it is
-    no wider than 4 eps |x|, a purely relative tolerance, so roots are
-    placed to full precision whatever their scale.
+    f(a) and f(b) must differ in sign; callers that already know them
+    pass them as fa and fb.  The bracket shrinks until it is no wider
+    than 2 (rtol |x| + atol).  The default, 4 eps |x|, is purely
+    relative and places roots to full precision whatever their scale.
     """
-    fa, fb = f(a), f(b)
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -143,7 +150,7 @@ def _brent(f, a: float, b: float, maxiter: int = 200) -> float:
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b)
+        tol = rtol * abs(b) + atol
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -242,7 +249,7 @@ def energy(spec: SystemSpec, q) -> EtSolution:
     Returns the full solution point; the bound tag is copied from the
     system's catalogue entry (NONE for hand-built systems).
     """
-    q = float(q)
+    q = require_finite_positive("q", q)
     r0 = solve_radius(spec, q)
     p0 = q / r0
     return EtSolution(

@@ -13,12 +13,11 @@ integer over 2) and only converted to float at solver entry.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_finite_positive
 
 __all__ = [
     "Bound",
@@ -180,14 +179,9 @@ def q_phi(nu, lam, phi):
     phi = 2 recovers the plain Q; exact (Fraction) arithmetic survives
     when all inputs are rational.
     """
-    if isinstance(phi, float) and not math.isfinite(phi):
-        raise DomainError(f"phi must be finite, got {phi!r}")
-    if phi <= 0:
-        raise DomainError(f"phi must be positive, got {phi!r}")
-    if nu <= 0:
-        raise DomainError(f"nu must be positive, got {nu!r}")
-    if lam < 0:
-        raise DomainError(f"lambda must be non-negative, got {lam!r}")
+    require_finite_positive("phi", phi)
+    require_finite_positive("nu", nu)
+    require_finite_positive("lambda", lam, allow_zero=True)
     return phi * nu + lam
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, NoBoundState, UnboundRegime
+from .errors import DomainError, NoBoundState, UnboundRegime, require_finite_positive
 from .specfun import QuarticSign, beta, lambert_w0, quartic_root_g
 from .model import Bound, InteractionTriple, SystemSpec
 
@@ -64,12 +64,6 @@ __all__ = [
 ]
 
 
-def _require_positive(**kwargs: float) -> None:
-    for name, value in kwargs.items():
-        if not math.isfinite(value) or value <= 0.0:
-            raise DomainError(f"{name} must be positive and finite, got {value!r}")
-
-
 def _nonrel_kinetic(m: float) -> InteractionTriple:
     """T(p) = p^2 / (2m)."""
     return InteractionTriple(
@@ -104,7 +98,8 @@ class PowerLaw2Params:
     b: float
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, a=self.a)
+        require_finite_positive("m", self.m)
+        require_finite_positive("a", self.a)
         if not math.isfinite(self.b) or self.b <= -2.0 or self.b == 0.0:
             raise DomainError(f"exponent must satisfy b > -2, b != 0, got {self.b!r}")
 
@@ -127,8 +122,7 @@ def powerlaw2_system(p: PowerLaw2Params, N: int, D: int = 3) -> SystemSpec:
 
 def powerlaw2_energy(p: PowerLaw2Params, N: int, q: float) -> float:
     """Closed-form envelope energy for the power-law pair system."""
-    if q <= 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    require_finite_positive("q", q)
     b = p.b
     core = (
         N * N * (N - 1.0) ** (2.0 - b) * p.a ** 2 * b * b * q ** (2.0 * b)
@@ -155,7 +149,8 @@ class PowerLaw1Params:
     b: float
 
     def __post_init__(self) -> None:
-        _require_positive(a=self.a, b=self.b)
+        require_finite_positive("a", self.a)
+        require_finite_positive("b", self.b)
 
 
 def powerlaw1_system(p: PowerLaw1Params, N: int, D: int = 3) -> SystemSpec:
@@ -175,8 +170,7 @@ def powerlaw1_system(p: PowerLaw1Params, N: int, D: int = 3) -> SystemSpec:
 
 
 def powerlaw1_energy(p: PowerLaw1Params, N: int, q: float) -> float:
-    if q <= 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    require_finite_positive("q", q)
     b = p.b
     return (b + 1.0) / b * (N * p.a * b * q ** b) ** (1.0 / (b + 1.0))
 
@@ -200,7 +194,9 @@ class GaussianParams:
     R: float
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, V0=self.V0, R=self.R)
+        require_finite_positive("m", self.m)
+        require_finite_positive("V0", self.V0)
+        require_finite_positive("R", self.R)
 
 
 def gaussian_system(p: GaussianParams, N: int, D: int = 3) -> SystemSpec:
@@ -225,8 +221,7 @@ def gaussian_y(p: GaussianParams, N: int, z: float) -> float:
 
 def gaussian_energy(p: GaussianParams, N: int, q: float) -> float:
     """Closed-form upper bound; raises NoBoundState below the Lambert branch."""
-    if q <= 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    require_finite_positive("q", q)
     y = gaussian_y(p, N, q)
     if y < -math.exp(-1.0):
         raise NoBoundState(
@@ -240,8 +235,7 @@ def gaussian_energy(p: GaussianParams, N: int, q: float) -> float:
 
 def gaussian_phi(p: GaussianParams, N: int, lam: float) -> float:
     """phi = 2 sqrt(1 + W0(Y(lambda)))."""
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    require_finite_positive("lambda", lam)
     y = gaussian_y(p, N, lam)
     if y < -math.exp(-1.0):
         raise NoBoundState(
@@ -253,6 +247,7 @@ def gaussian_phi(p: GaussianParams, N: int, lam: float) -> float:
 
 def gaussian_harmonic_limit(p: GaussianParams, N: int, q: float) -> float:
     """Wide-well limit of the Gaussian energy, valid for R -> infinity."""
+    require_finite_positive("q", q)
     cn = N * (N - 1.0) / 2.0
     return -cn * p.V0 + math.sqrt(2.0 * N * p.V0 / (p.m * p.R * p.R)) * q
 
@@ -273,9 +268,9 @@ class ConfinedParams:
     g: float
 
     def __post_init__(self) -> None:
-        _require_positive(m=self.m, omega=self.omega)
-        if not math.isfinite(self.g) or self.g < 0.0:
-            raise DomainError(f"coupling must be >= 0, got {self.g!r}")
+        require_finite_positive("m", self.m)
+        require_finite_positive("omega", self.omega)
+        require_finite_positive("coupling", self.g, allow_zero=True)
 
 
 def confined_system(p: ConfinedParams, N: int, D: int = 3) -> SystemSpec:
@@ -322,8 +317,7 @@ def confined_energy(
     of mass, which applies when the confinement acts on absolute
     coordinates rather than on distances to the centre of mass.
     """
-    if q <= 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    require_finite_positive("q", q)
     shift = 0.5 * D * p.omega if ground_shift else 0.0
     if p.g == 0.0:
         return p.omega * q + shift
@@ -338,8 +332,7 @@ def confined_energy(
 
 def confined_phi(p: ConfinedParams, N: int, lam: float) -> float:
     """phi = 2 sqrt(1 + 2 G(Y(lambda))/Y(lambda)); exactly 2 at g = 0."""
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    require_finite_positive("lambda", lam)
     if p.g == 0.0:
         return 2.0
     y = confined_y(p, N, lam)
@@ -363,9 +356,8 @@ class BaryonParams:
     g: float
 
     def __post_init__(self) -> None:
-        _require_positive(tension_k=self.tension_k)
-        if not math.isfinite(self.g) or self.g < 0.0:
-            raise DomainError(f"coupling must be >= 0, got {self.g!r}")
+        require_finite_positive("tension_k", self.tension_k)
+        require_finite_positive("coupling", self.g, allow_zero=True)
 
     @classmethod
     def from_alpha_s(cls, tension_k: float, alpha_s: float) -> "BaryonParams":
@@ -397,8 +389,7 @@ def baryon_system(p: BaryonParams, N: int, D: int = 3) -> SystemSpec:
 
 def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
     """Closed-form upper bound E = 2 sqrt(k (N q - C^(3/2) g))."""
-    if q <= 0.0:
-        raise DomainError(f"q must be positive, got {q!r}")
+    require_finite_positive("q", q)
     cn = N * (N - 1.0) / 2.0
     radicand = N * q - cn ** 1.5 * p.g
     if radicand <= 0.0:
@@ -411,8 +402,7 @@ def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
 
 def baryon_phi(p: BaryonParams, N: int, lam: float) -> float:
     """phi = sqrt(2 - sqrt(N (N-1)^3) g / (sqrt(2) lambda))."""
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    require_finite_positive("lambda", lam)
     radicand = 2.0 - math.sqrt(N * (N - 1.0) ** 3) * p.g / (math.sqrt(2.0) * lam)
     if radicand <= 0.0:
         raise DomainError(
@@ -511,9 +501,7 @@ def table1(phi_mode: float | str = "dos", rows=None) -> Table1Result:
         if phi_mode != "dos":
             raise DomainError(f"phi_mode must be a number or 'dos', got {phi_mode!r}")
     else:
-        phi_mode = float(phi_mode)
-        if not math.isfinite(phi_mode) or phi_mode <= 0.0:
-            raise DomainError(f"phi must be positive, got {phi_mode!r}")
+        phi_mode = require_finite_positive("phi", phi_mode)
 
     exact_by_state = {(n, l): e for n, l, e in TABLE1_EXACT}
     if rows is None:

@@ -15,6 +15,7 @@ from etkit import (
     BaryonParams,
     Bound,
     ConfinedParams,
+    DomainError,
     GaussianParams,
     InteractionTriple,
     NoSolution,
@@ -151,6 +152,13 @@ class TestNoSolution:
             solve_radius(spec, 0.0)
         with pytest.raises(NoSolution):
             solve_radius(spec, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_is_a_domain_error(self, bad):
+        # NaN used to reach solve_radius and come back as NoSolution
+        spec = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=2.0), 2)
+        with pytest.raises(DomainError):
+            energy(spec, bad)
 
     def test_gaussian_beyond_binding_window(self):
         # scaled number below -1/e: no stationary point anywhere
@@ -300,6 +308,22 @@ class TestBrent:
     def test_same_signs_rejected(self):
         with pytest.raises(ValueError):
             et_core._brent(lambda r: r, 1.0, 2.0)
+
+    def test_known_end_values_are_not_recomputed(self):
+        calls = []
+
+        def f(r):
+            calls.append(r)
+            return r - 1.5
+
+        x = et_core._brent(f, 1.0, 2.0, fa=-0.5, fb=0.5)
+        assert x == pytest.approx(1.5, rel=1e-15)
+        assert 1.0 not in calls and 2.0 not in calls
+
+    def test_absolute_tolerance_stops_at_a_zero_root(self):
+        # a purely relative tolerance cannot be met at x = 0; atol can
+        x = et_core._brent(lambda r: r + r**3, -1.0, 0.5, rtol=1e-13, atol=1e-13)
+        assert abs(x) <= 2e-13
 
 
 def test_import_leaves_scipy_unloaded():

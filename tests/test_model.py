@@ -118,6 +118,18 @@ class TestQPhi:
         with pytest.raises(DomainError):
             q_phi(1.0, -0.5, 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_lambda(self, bad):
+        # NaN fails every ordered comparison; a bare `lam < 0` guard
+        # returned nan here
+        with pytest.raises(DomainError):
+            q_phi(bad, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            q_phi(1.0, bad, 2.0)
+
+    def test_zero_lambda_is_allowed(self):
+        assert q_phi(Fraction(1, 2), 0, 2) == 1
+
 
 class TestQuantumNumbers:
     def test_rejects_negative(self):

@@ -2,7 +2,9 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ai_zeros
 
 from etkit import (
     DomainError,
@@ -13,6 +15,7 @@ from etkit import (
     powerlaw2_system,
     radial_eigenvalue,
 )
+from etkit import oracle
 
 OSC = InteractionTriple(lambda r: r * r, lambda r: 2.0 * r, lambda r: 2.0, "r^2")
 COULOMB = InteractionTriple(
@@ -127,6 +130,20 @@ class TestNoBoundState:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["rmax", "npoints", "etol"])
+    def test_rejects_bad_box_mesh_and_tolerance(self, name, bad):
+        # rmax = nan used to surface as "could not bracket the level"
+        with pytest.raises(DomainError):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0, **{name: bad})
+
+    def test_npoints_must_be_whole(self):
+        with pytest.raises(DomainError):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0, rmax=12.0, npoints=500.5)
+        assert radial_eigenvalue(0.5, OSC, l=0, n_r=0, rmax=12.0, npoints=500.0) == (
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0, rmax=12.0, npoints=500)
+        )
+
     def test_rejects_bad_mass(self):
         with pytest.raises(DomainError):
             radial_eigenvalue(0.0, OSC, l=0, n_r=0)
@@ -147,3 +164,114 @@ class TestAgainstEnvelope:
         e_env = energy(spec, 1.5).E
         e_ref = radial_eigenvalue(0.5, OSC, l=0, n_r=0)
         assert e_env == pytest.approx(e_ref, abs=1e-9)
+
+
+def _power_pair(b: float, a: float) -> InteractionTriple:
+    """V = sgn(b) a r^b, the pair potential of the two-body power-law system."""
+    return powerlaw2_system(PowerLaw2Params(m=1.0, a=a, b=b), 2).pairwise
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    count = [0]
+    sweep = oracle._sweep
+
+    def counted(*args):
+        count[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(oracle, "_sweep", counted)
+    return count
+
+
+class TestSweepBudget:
+    # bisection alone took 53 and 269 sweeps for these two levels
+    def test_oscillator_ground(self, monkeypatch):
+        count = _count_sweeps(monkeypatch)
+        assert radial_eigenvalue(0.5, OSC, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
+        assert count[0] <= 30
+
+    def test_coulomb_excited_over_growing_boxes(self, monkeypatch):
+        count = _count_sweeps(monkeypatch)
+        assert radial_eigenvalue(0.5, COULOMB, l=0, n_r=1) == pytest.approx(
+            -0.0625, abs=1e-9
+        )
+        assert count[0] <= 120
+
+
+# two-body levels (b, n_r, l) whose exact value is known: oscillator,
+# Coulomb and linear s-waves
+EXACT_LEVELS = (
+    [(2.0, n_r, l) for n_r, l in ((0, 0), (0, 4), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 4))]
+    + [(1.0, n_r, 0) for n_r in (0, 1, 2)]
+    + [(-1.0, n_r, l) for n_r, l in ((0, 0), (0, 1), (1, 0), (1, 1))]
+)
+
+
+def _exact_level(b: float, a: float, mu: float, n_r: int, l: int) -> float:
+    if b == 2.0:
+        return math.sqrt(2.0 * a / mu) * (2 * n_r + l + 1.5)
+    if b == -1.0:
+        return -mu * a * a / (2.0 * (n_r + l + 1) ** 2)
+    return -(a * a / (2.0 * mu)) ** (1.0 / 3.0) * ai_zeros(n_r + 1)[0][n_r]
+
+
+class TestExactLevels:
+    @pytest.mark.parametrize("b,n_r,l", EXACT_LEVELS)
+    def test_power_law_levels(self, b, n_r, l):
+        level = radial_eigenvalue(0.5, _power_pair(b, 1.0), l=l, n_r=n_r)
+        assert level == pytest.approx(_exact_level(b, 1.0, 0.5, n_r, l), rel=1e-9)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_slow_power_matches_a_large_box(self, l):
+        # V = r^(1/2) has a wide tail: counting the centrifugal barrier
+        # as tail kept the first box and missed these levels by up to 6e-6
+        pot = _power_pair(0.5, 1.0)
+        adaptive = radial_eigenvalue(0.5, pot, l=l, n_r=0)
+        large = radial_eigenvalue(0.5, pot, l=l, n_r=0, rmax=40.0, npoints=16000)
+        assert adaptive == pytest.approx(large, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("n_r", [0, 1])
+    def test_coulomb_d_waves(self, a, n_r):
+        # the box test once counted the centrifugal barrier as tail and
+        # stopped growing too early: -0.0334806 for a = 1.1, n_r = 0
+        level = radial_eigenvalue(0.5, _power_pair(-1.0, a), l=2, n_r=n_r)
+        assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, 2), rel=1e-8)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("shift", [0.0, 1e-4, -0.05, 0.3])
+    @pytest.mark.parametrize("potential,l,n_r", [(OSC, 1, 2), (COULOMB, 0, 1)])
+    def test_guess_does_not_move_the_level(self, potential, l, n_r, shift):
+        shooter = oracle._Shooter(
+            0.5, potential, l, 40.0, 8000, oracle._laurent_coeffs(potential)
+        )
+        cold = shooter.solve(n_r, 1e-13)
+        warm = shooter.solve(n_r, 1e-13, guess=cold * (1.0 + shift))
+        assert warm == pytest.approx(cold, rel=1e-12)
+
+
+class TestPotentialSampling:
+    def test_one_array_call_per_box(self):
+        shapes = []
+
+        def value(r):
+            shapes.append(np.shape(r))
+            return r * r
+
+        pot = InteractionTriple(value, OSC.d1, OSC.d2, "r^2")
+        assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
+        assert sum(1 for shape in shapes if shape != ()) == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda r: r * r if r > 0.0 else 0.0,  # raises on arrays
+            lambda r: float(np.sum(np.square(r))),  # one number for an array
+        ],
+    )
+    def test_scalar_only_potentials_fall_back(self, value):
+        pot = InteractionTriple(value, OSC.d1, OSC.d2, "scalar r^2")
+        assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == radial_eigenvalue(
+            0.5, OSC, l=0, n_r=0
+        )

@@ -255,6 +255,35 @@ class TestBaryon:
         assert baryon_system(self.PARAMS, 3).bound is Bound.UPPER
 
 
+class TestNonFiniteInputs:
+    # each closed form used to pass NaN through a bare `q <= 0` guard
+    # and return nan (or inf for an infinite q)
+    CLOSED_FORMS = [
+        lambda x: powerlaw2_energy(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2, x),
+        lambda x: powerlaw1_energy(PowerLaw1Params(a=1.0, b=1.0), 3, x),
+        lambda x: gaussian_energy(GaussianParams(m=1.0, V0=5.0, R=2.0), 2, x),
+        lambda x: gaussian_phi(GaussianParams(m=1.0, V0=5.0, R=2.0), 2, x),
+        lambda x: gaussian_harmonic_limit(GaussianParams(m=1.0, V0=5.0, R=2.0), 2, x),
+        lambda x: confined_energy(ConfinedParams(m=1.0, omega=1.0, g=0.5), 2, x),
+        lambda x: confined_phi(ConfinedParams(m=1.0, omega=1.0, g=0.5), 2, x),
+        lambda x: baryon_energy(BaryonParams(tension_k=0.2, g=0.1), 3, x),
+        lambda x: baryon_phi(BaryonParams(tension_k=0.2, g=0.1), 3, x),
+    ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("closed_form", range(len(CLOSED_FORMS)))
+    def test_closed_forms_reject(self, closed_form, bad):
+        with pytest.raises(DomainError):
+            self.CLOSED_FORMS[closed_form](bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_couplings_reject(self, bad):
+        with pytest.raises(DomainError):
+            ConfinedParams(m=1.0, omega=1.0, g=bad)
+        with pytest.raises(DomainError):
+            BaryonParams(tension_k=0.2, g=bad)
+
+
 class TestBandRatio:
     def test_equal_at_two(self):
         c1, c2, delta = bsq_ratio_coeffs(2.0)
