@@ -14,12 +14,20 @@ tested against.  The scheme is deliberately the simplest one with a
 controllable error: global accuracy is O(h^4) in the mesh step, and the
 box is grown until the classical turning point sits below 60% of it and
 the WKB tail suppression beyond that point is strong enough not to bias
-the eigenvalue.  Each larger box starts its bracket around the level
-found in the previous one.
+the eigenvalue.
+
+Until a level has been shot, each box first takes a Langer-WKB estimate
+of it from the potential samples it already holds, which costs no
+Numerov sweep.  A box in which the estimate, lowered by a safety
+margin, already fails the box test is skipped unshot.  The first box
+that is shot starts its bracket at +-1 % around the estimate, and each
+larger box after it at +-1e-3 around the level found in the previous
+one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -39,6 +47,14 @@ _MAX_BOX_GROWTHS = 14
 _MAX_UNBOUND_ROUNDS = 5
 # half-width of a warm-started bracket, relative to the previous level
 _WARM_SPAN = 1e-3
+# half-width of the bracket around a WKB estimate, relative to it; the
+# Langer estimate is within ~1 % on the power-law levels tried, and a
+# miss only widens the bracket
+_SEED_SPAN = 0.01
+# how far below its WKB estimate a level may lie, as a fraction of its
+# depth below the asymptote or its height above the Langer minimum,
+# whichever is smaller (the worst miss seen is 1.5 %)
+_SKIP_MARGIN = 0.05
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
 _Shot = tuple[float, int, float]
@@ -60,6 +76,11 @@ def _asymptote(potential: InteractionTriple) -> float:
             break
         limit = value
     return limit
+
+
+def _unbound(e: float, asym: float) -> bool:
+    """Whether e sits at or above the potential's large-distance limit."""
+    return e >= asym - 1e-12 * max(1.0, abs(asym))
 
 
 def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[float, float]:
@@ -101,32 +122,38 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
 def _sweep(f: np.ndarray, u1: float, first_term: float = 0.0) -> tuple[int, float]:
     """One Numerov pass; returns (interior node count, u at the box edge).
 
-    f holds the Numerov factors 1 + h^2 k^2 / 12.  first_term stands in
-    for f_0 u_0 in the first three-point relation: u(0) = 0, but the
-    product (V u)(r) can have a finite limit at the origin that the
-    grid cannot represent.  The recurrence is sequential, so this runs
-    as a plain Python loop over lists.
+    f holds the Numerov factors 1 + h^2 k^2 / 12, with f[0] = 1.
+    first_term stands in for f_0 u_0 in the first three-point relation:
+    u(0) = 0, but the product (V u)(r) can have a finite limit at the
+    origin that the grid cannot represent.
+
+    The pass runs on v_i = |f_i| u_i, which has the sign of u_i and obeys
+    v_i = A_i v_(i-1) - B_i v_(i-2) with A_i = s_i (12 - 10 f_(i-1)) /
+    |f_(i-1)| and B_i = s_i s_(i-2), s = sign(f).  B_i is exactly 1
+    wherever f keeps its sign: a rounded ratio f_(i-2) / f_i in its
+    place would not telescope and shifts levels near zero by ~1e-11
+    relative.  numpy computes the coefficients; the sequential loop runs
+    in plain Python over lists.
     """
-    fl = f.tolist()
-    u_prev = 0.0
-    u_cur = u1
+    s = np.sign(f)
+    a = (s[2:] * (12.0 - 10.0 * f[1:-1]) / np.abs(f[1:-1])).tolist()
+    b = s[2:] * s[:-2]
+    # f changes sign only next to the origin for l >= 3 or under a steep
+    # potential; elsewhere B is 1 throughout and needs no list
+    b = b.tolist() if (b < 0.0).any() else itertools.repeat(1.0)
+    # plain floats: a numpy scalar here would slow every step of the loop
+    v_prev = float(first_term)
+    v_cur = abs(float(f[1])) * float(u1)
     nodes = 0
-    f_cur = fl[1]
-    carry = first_term
-    for i in range(2, len(fl)):
-        f_next = fl[i]
-        u_next = ((12.0 - 10.0 * f_cur) * u_cur - carry) / f_next
-        if u_next * u_cur < 0.0:
+    for a_i, b_i in zip(a, b):
+        v_prev, v_cur = v_cur, a_i * v_cur - b_i * v_prev
+        if v_cur * v_prev < 0.0:
             nodes += 1
-        u_prev, u_cur = u_cur, u_next
-        carry = f_cur * u_prev
-        f_cur = f_next
-        if abs(u_cur) > 1e250:
+        if abs(v_cur) > 1e250:
             # rescale; the eigenvalue condition only uses signs and zeros
-            u_prev *= 1e-250
-            u_cur *= 1e-250
-            carry *= 1e-250
-    return nodes, u_cur
+            v_prev *= 1e-250
+            v_cur *= 1e-250
+    return nodes, v_cur / abs(float(f[-1]))
 
 
 class _Shooter:
@@ -154,6 +181,8 @@ class _Shooter:
             cent[1:] = l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
         self.veff = v + cent
         self.veff[0] = 0.0
+        # V_eff with l(l+1) -> (l + 1/2)^2, for the WKB estimate
+        self.langer = self.veff[1:] + 1.0 / (8.0 * mu * self.r[1:] ** 2)
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
@@ -202,13 +231,15 @@ class _Shooter:
             step *= 2.0
         return None, missed
 
-    def solve(self, n_r: int, etol: float, guess: float | None = None) -> float:
+    def solve(
+        self, n_r: int, etol: float, guess: float | None = None, span: float = _WARM_SPAN
+    ) -> float:
         """Level with n_r nodes: node-count bisection, then Brent on u(rmax).
 
-        guess, the level found in a smaller box, starts the bracket at
-        +-1e-3 relative around it; without one, the bracket starts from
-        the extremes of the effective potential.  A shot that misses one
-        end of the bracket is kept as the other end.
+        guess, the level found in a smaller box or a WKB estimate, starts
+        the bracket at +-span relative around it; without one, the
+        bracket starts from the extremes of the effective potential.  A
+        shot that misses one end of the bracket is kept as the other end.
         """
         if guess is None:
             vmin = float(np.min(self.veff[1:]))
@@ -216,7 +247,7 @@ class _Shooter:
             hi = max(float(self.veff[-1]), vmin + 1.0)
             step = max(abs(hi - lo), 1.0)
         else:
-            step = _WARM_SPAN * (abs(guess) or 1.0)
+            step = span * (abs(guess) or 1.0)
             lo, hi = guess - step, guess + step
         below, above = self._walk(lo, -step, lambda k: k <= n_r)
         if below is None:
@@ -247,6 +278,53 @@ class _Shooter:
             raise ConvergenceError(
                 f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: {exc}"
             ) from exc
+
+    def wkb_phase(self, e: float) -> float:
+        """Langer-WKB phase: integral of sqrt(2 mu (e - V_eff) - 1/(4 r^2)).
+
+        The 1/(4 r^2) term is the Langer shift of l(l+1) to (l + 1/2)^2;
+        the integral runs over the allowed part of the box.
+        """
+        ksq = 2.0 * self.mu * (e - self.langer)
+        return float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), self.r[1:]))
+
+    def wkb_level(self, n_r: int) -> float | None:
+        """Langer-WKB level with n_r nodes from the box's potential samples.
+
+        Solves wkb_phase(E) = pi (n_r + 1/2) with no Numerov sweep.  None
+        when the box cannot hold the level below its edge value of the
+        Langer potential, or when that potential is not finite.
+        """
+        lo, hi = float(np.min(self.langer)), float(self.langer[-1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return None
+        target = math.pi * (n_r + 0.5)
+        f_hi = self.wkb_phase(hi) - target
+        if f_hi < 0.0:
+            return None
+        return _brent(lambda e: self.wkb_phase(e) - target, lo, hi,
+                      rtol=1e-10, atol=1e-10 * (hi - lo), fb=f_hi)
+
+    def holds(self, e: float) -> bool:
+        """The box test: turning point within 60% of the box, tail action >= 15."""
+        return (self.turning_point(e) <= _TURNING_FRACTION * self.rmax
+                and self.tail_action(e) >= _MIN_TAIL_ACTION)
+
+    def too_small(self, estimate: float | None, asym: float) -> bool:
+        """Whether the box test must fail for the level WKB puts at estimate.
+
+        Without an estimate the level lies above the edge value of the
+        Langer potential, which stands in for it.  That value, lowered by
+        _SKIP_MARGIN, must still fail the test; the test is monotonic in
+        the energy and a box only raises a level, so the level fails too.
+        A value not below the asymptote asym proves nothing, so that the
+        box is shot and the unbound-round rule sees it.
+        """
+        top = float(self.langer[-1]) if estimate is None else estimate
+        if not math.isfinite(top) or _unbound(top, asym):
+            return False
+        low = top - _SKIP_MARGIN * min(asym - top, top - float(np.min(self.langer)))
+        return not self.holds(low)
 
     def _turning_index(self, e: float) -> int:
         """Index of the outermost mesh point with V_eff <= e; 0 if none."""
@@ -306,11 +384,19 @@ def radial_eigenvalue(
     for _ in range(_MAX_BOX_GROWTHS):
         n = npoints if npoints is not None else int(min(25000.0, max(4000.0, 160.0 * box)))
         shooter = _Shooter(mu, potential, l, box, n, laurent)
-        e = shooter.solve(n_r, etol, guess=e)
+        guess, span = e, _WARM_SPAN
+        if e is None:
+            # no level shot yet: skip the boxes WKB already rules out,
+            # and seed the first solved box with the estimate
+            guess, span = shooter.wkb_level(n_r), _SEED_SPAN
+            if not fixed_box and shooter.too_small(guess, asym):
+                box *= 1.8
+                continue
+        e = shooter.solve(n_r, etol, guess=guess, span=span)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
         # was being squeezed
-        if e >= asym - 1e-12 * max(1.0, abs(asym)):
+        if _unbound(e, asym):
             unbound_rounds += 1
             if fixed_box or unbound_rounds >= _MAX_UNBOUND_ROUNDS:
                 raise NoBoundState(
@@ -321,8 +407,7 @@ def radial_eigenvalue(
             continue
         if fixed_box:
             break
-        rt = shooter.turning_point(e)
-        if rt <= _TURNING_FRACTION * box and shooter.tail_action(e) >= _MIN_TAIL_ACTION:
+        if shooter.holds(e):
             break
         box *= 1.8
     else:
