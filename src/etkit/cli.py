@@ -15,65 +15,40 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
 
-from .dos import compute_phi
-from .errors import EtkitError, NoBoundState, UnboundRegime
+from .dos import compute_phi, improved_energy_at
+from .errors import EtkitError
 from .et_core import energy
-from .model import Bound, QuantumNumbers, SystemSpec, nu_lambda, q_phi
-from .systems import (
-    BaryonParams,
-    ConfinedParams,
-    GaussianParams,
-    PowerLaw1Params,
-    PowerLaw2Params,
-    baryon_system,
-    bsq_ratio_coeffs,
-    confined_system,
-    gaussian_system,
-    gaussian_y,
-    powerlaw1_system,
-    powerlaw2_system,
-    table1,
-)
+from .model import QuantumNumbers, SystemSpec, nu_lambda
+from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, table1
 
 
 class ConfigError(Exception):
     """Bad key=value input, from a file or from flags."""
 
 
-_CONFIG_KEYS = (
-    "system",
-    "N",
-    "D",
-    "m",
-    "a",
-    "b",
-    "V0",
-    "R",
-    "omega",
-    "g",
-    "k",
-    "alpha_s",
-    "nu",
-    "lambda",
-    "n_sum",
-    "l_sum",
-    "phi",
-    "q",
-    "ground_shift",
-)
+_SHARED_KEYS = ("system", "N", "D", "nu", "lambda", "n_sum", "l_sum", "phi", "q")
 
-_SYSTEM_KEYS = {
-    "powerlaw2": {"m", "a", "b"},
-    "powerlaw1": {"a", "b"},
-    "gaussian": {"m", "V0", "R"},
-    "confined": {"m", "omega", "g", "ground_shift"},
-    "baryon": {"k", "g", "alpha_s"},
-}
+# the command line names BaryonParams.tension_k "k"
+_KEY_OF_FIELD = {"tension_k": "k"}
 
-_SHARED_KEYS = {"system", "N", "D", "nu", "lambda", "n_sum", "l_sum", "phi", "q"}
+# keys that are not fields of the parameter record: alpha_s gives the
+# baryon g as 2 alpha_s / 3, ground_shift adds D omega / 2 to the energy
+_EXTRA_KEYS = {"baryon": ("alpha_s",), "confined": ("ground_shift",)}
+
+
+def _family_keys(name: str) -> tuple[str, ...]:
+    params_cls, _ = FAMILIES[name]
+    own = tuple(_KEY_OF_FIELD.get(f.name, f.name) for f in fields(params_cls))
+    return own + _EXTRA_KEYS.get(name, ())
+
+
+# every key a config file or a flag may set, each once
+_CONFIG_KEYS = tuple(dict.fromkeys(
+    _SHARED_KEYS + tuple(key for name in FAMILIES for key in _family_keys(name))
+))
 
 # canonical comparison columns: plain weight, recomputed weight, and the
 # two fitted constants quoted alongside the embedded table
@@ -148,16 +123,37 @@ def _need(settings: dict[str, str], key: str, system: str) -> str:
     return value
 
 
-def _build_system(settings: dict[str, str]):
-    """Returns (name, params, spec, N, D, extras)."""
+def _params(name: str, settings: dict[str, str]):
+    """The family's parameter record, one key per field."""
+    params_cls, _ = FAMILIES[name]
+    if name == "baryon":
+        if "g" in settings and "alpha_s" in settings:
+            raise ConfigError("give either g or alpha_s for the baryon system, not both")
+        if "alpha_s" in settings:
+            return BaryonParams.from_alpha_s(
+                tension_k=_to_float("k", _need(settings, "k", name)),
+                alpha_s=_to_float("alpha_s", settings["alpha_s"]),
+            )
+        if "g" not in settings:
+            raise ConfigError("the baryon system needs g or alpha_s")
+    values = {}
+    for field in fields(params_cls):
+        key = _KEY_OF_FIELD.get(field.name, field.name)
+        values[field.name] = _to_float(key, _need(settings, key, name))
+    return params_cls(**values)
+
+
+def _build_system(settings: dict[str, str]) -> tuple[SystemSpec, float]:
+    """The system and the ground shift to add to its energies."""
     name = settings.get("system")
     if name is None:
         raise ConfigError("no system chosen; set system=<name>")
-    if name not in _SYSTEM_KEYS:
-        known = ", ".join(sorted(_SYSTEM_KEYS))
+    if name not in FAMILIES:
+        known = ", ".join(sorted(FAMILIES))
         raise ConfigError(f"unknown system {name!r}; choose one of {known}")
+    own_keys = _family_keys(name)
     for key in settings:
-        if key not in _SHARED_KEYS and key not in _SYSTEM_KEYS[name]:
+        if key not in _SHARED_KEYS and key not in own_keys:
             raise ConfigError(f"parameter {key!r} does not apply to system {name!r}")
 
     n_body = _to_int("N", _need(settings, "N", name))
@@ -167,50 +163,12 @@ def _build_system(settings: dict[str, str]):
     if dim < 2:
         raise ConfigError(f"D must be at least 2, got {dim}")
 
-    extras: dict[str, object] = {}
-    if name == "powerlaw2":
-        params = PowerLaw2Params(
-            m=_to_float("m", _need(settings, "m", name)),
-            a=_to_float("a", _need(settings, "a", name)),
-            b=_to_float("b", _need(settings, "b", name)),
-        )
-        spec = powerlaw2_system(params, n_body, dim)
-    elif name == "powerlaw1":
-        params = PowerLaw1Params(
-            a=_to_float("a", _need(settings, "a", name)),
-            b=_to_float("b", _need(settings, "b", name)),
-        )
-        spec = powerlaw1_system(params, n_body, dim)
-    elif name == "gaussian":
-        params = GaussianParams(
-            m=_to_float("m", _need(settings, "m", name)),
-            V0=_to_float("V0", _need(settings, "V0", name)),
-            R=_to_float("R", _need(settings, "R", name)),
-        )
-        spec = gaussian_system(params, n_body, dim)
-    elif name == "confined":
-        params = ConfinedParams(
-            m=_to_float("m", _need(settings, "m", name)),
-            omega=_to_float("omega", _need(settings, "omega", name)),
-            g=_to_float("g", _need(settings, "g", name)),
-        )
-        spec = confined_system(params, n_body, dim)
-        if "ground_shift" in settings:
-            extras["ground_shift"] = _to_bool("ground_shift", settings["ground_shift"])
-    else:
-        tension = _to_float("k", _need(settings, "k", name))
-        if "g" in settings and "alpha_s" in settings:
-            raise ConfigError("give either g or alpha_s for the baryon system, not both")
-        if "g" in settings:
-            params = BaryonParams(tension_k=tension, g=_to_float("g", settings["g"]))
-        elif "alpha_s" in settings:
-            params = BaryonParams.from_alpha_s(
-                tension_k=tension, alpha_s=_to_float("alpha_s", settings["alpha_s"])
-            )
-        else:
-            raise ConfigError("the baryon system needs g or alpha_s")
-        spec = baryon_system(params, n_body, dim)
-    return name, params, spec, n_body, dim, extras
+    params = _params(name, settings)
+    spec = FAMILIES[name][1](params, n_body, dim)
+    shift = 0.0
+    if _to_bool("ground_shift", settings.get("ground_shift", "false")):
+        shift = 0.5 * dim * params.omega
+    return spec, shift
 
 
 def _quantum_input(settings: dict[str, str], spec: SystemSpec):
@@ -247,26 +205,7 @@ def _quantum_input(settings: dict[str, str], spec: SystemSpec):
     return "nl", nu_lambda(qn, spec)
 
 
-def _stage_guard(name: str, params, n_body: int, q: float) -> None:
-    # map "no stationary point" onto its physical cause before solving
-    if name == "gaussian":
-        y = gaussian_y(params, n_body, q)
-        if y < -math.exp(-1.0):
-            raise NoBoundState(
-                f"gaussian system does not bind at q={q:.6g}: scaled number "
-                f"{y:.6g} lies below -1/e"
-            )
-    elif name == "baryon":
-        cn = n_body * (n_body - 1.0) / 2.0
-        if n_body * q - cn**1.5 * params.g <= 0.0:
-            raise UnboundRegime(
-                f"baryon stationary point does not exist at q={q:.6g}: the "
-                f"pair attraction outweighs the confinement"
-            )
-
-
-def _phi_setting(settings: dict[str, str]):
-    text = settings.get("phi", "2")
+def _parse_phi(text: str):
     if text == "dos":
         return "dos"
     value = _to_float("phi", text)
@@ -276,64 +215,47 @@ def _phi_setting(settings: dict[str, str]):
 
 
 def _solve_report(settings: dict[str, str]) -> list[str]:
-    name, params, spec, n_body, dim, extras = _build_system(settings)
-    mode = _phi_setting(settings)
+    spec, shift = _build_system(settings)
+    mode = _parse_phi(settings.get("phi", "2"))
     form, data = _quantum_input(settings, spec)
 
-    if mode != 2.0 and form == "q":
-        raise ConfigError(
-            "phi weighting needs nu/lambda or n_sum/l_sum input, not q"
-        )
-
     if form == "q":
-        q_used = float(data)
+        if mode != 2.0:
+            raise ConfigError(
+                "phi weighting needs nu/lambda or n_sum/l_sum input, not q"
+            )
+        sol = energy(spec, data)
         phi_used = 2.0
-        _stage_guard(name, params, n_body, q_used)
-        sol = energy(spec, q_used)
-        bound = sol.bound
     else:
         nu, lam = data
-        if mode == "dos":
-            _stage_guard(name, params, n_body, float(lam))
-            pres = compute_phi(spec, float(lam))
-            phi_used = pres.phi
-        else:
-            phi_used = float(mode)
-        q_used = float(q_phi(nu, lam, phi_used))
-        _stage_guard(name, params, n_body, q_used)
-        sol = energy(spec, q_used)
-        bound = sol.bound if phi_used == 2.0 else Bound.NONE
-
-    e_out = sol.E
-    if extras.get("ground_shift"):
-        e_out += 0.5 * dim * params.omega
+        sol, pres = improved_energy_at(spec, nu, lam, None if mode == "dos" else mode)
+        phi_used = mode if pres is None else pres.phi
 
     return [
-        f"system = {name}",
-        f"N = {n_body}",
-        f"D = {dim}",
+        f"system = {spec.label}",
+        f"N = {spec.N}",
+        f"D = {spec.D}",
         f"phi = {phi_used:.12g}",
-        f"Q = {q_used:.12g}",
-        f"E = {e_out:.12g}",
+        f"Q = {sol.q_used:.12g}",
+        f"E = {sol.E + shift:.12g}",
         f"r0 = {sol.r0:.12g}",
         f"p0 = {sol.p0:.12g}",
-        f"bound = {bound.name.lower()}",
+        f"bound = {sol.bound.name.lower()}",
     ]
 
 
 def _phi_report(settings: dict[str, str]) -> list[str]:
     settings = {k: v for k, v in settings.items() if k != "phi"}
-    name, params, spec, n_body, dim, _ = _build_system(settings)
+    spec, _ = _build_system(settings)
     form, data = _quantum_input(settings, spec)
     if form == "q":
         raise ConfigError("the weight needs nu/lambda or n_sum/l_sum input, not q")
     nu, lam = data
-    _stage_guard(name, params, n_body, float(lam))
     pres = compute_phi(spec, float(lam))
     return [
-        f"system = {name}",
-        f"N = {n_body}",
-        f"D = {dim}",
+        f"system = {spec.label}",
+        f"N = {spec.N}",
+        f"D = {spec.D}",
         f"nu = {float(nu):.12g}",
         f"lambda = {float(lam):.12g}",
         f"phi = {pres.phi:.12g}",
@@ -347,12 +269,7 @@ def _phi_report(settings: dict[str, str]) -> list[str]:
 def _table_modes(mode_text: str):
     if mode_text == "all":
         return list(_TABLE_MODES)
-    if mode_text == "dos":
-        return [("dos", "dos")]
-    value = _to_float("phi", mode_text)
-    if value <= 0.0:
-        raise ConfigError(f"phi must be positive, got {value}")
-    return [(mode_text, value)]
+    return [(mode_text, _parse_phi(mode_text))]
 
 
 def _table_csv(results) -> str:
@@ -453,39 +370,20 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
                 raise ConfigError(f"axis N needs whole numbers >= 2, got {x:g}")
             point["N"] = str(int(round(x)))
             axis_cell = str(int(round(x)))
-        elif axis == "b":
-            point["b"] = repr(x)
-            axis_cell = f"{x:.12g}"
         else:
+            point[axis] = repr(x)
             axis_cell = f"{x:.12g}"
 
-        name, params, spec, n_body, _, extras = _build_system(point)
-        if axis == "lambda":
-            nu = _to_float("nu", point["nu"])
-            if nu <= 0.0:
-                raise ConfigError(f"nu must be positive, got {nu}")
-            lam = x
-            if lam < 0.0:
-                raise ConfigError(f"grid lambda must be non-negative, got {lam:g}")
-        else:
-            form, data = _quantum_input(point, spec)
-            if form == "q":
-                raise ConfigError("scan needs nu/lambda or n_sum/l_sum input, not q")
-            nu, lam = data
+        spec, shift = _build_system(point)
+        form, data = _quantum_input(point, spec)
+        if form == "q":
+            raise ConfigError("scan needs nu/lambda or n_sum/l_sum input, not q")
+        nu, lam = data
 
-        shift = 0.5 * spec.D * params.omega if extras.get("ground_shift") else 0.0
-
-        q_plain = float(q_phi(nu, lam, 2.0))
-        _stage_guard(name, params, n_body, q_plain)
-        e_plain = energy(spec, q_plain).E + shift
-
-        _stage_guard(name, params, n_body, float(lam))
-        pres = compute_phi(spec, float(lam))
-        q_imp = float(q_phi(nu, lam, pres.phi))
-        _stage_guard(name, params, n_body, q_imp)
-        e_imp = energy(spec, q_imp).E + shift
-
-        cells = [axis_cell, f"{e_plain:.12g}", f"{e_imp:.12g}", f"{pres.phi:.12g}"]
+        plain, _ = improved_energy_at(spec, nu, lam, 2.0)
+        improved, pres = improved_energy_at(spec, nu, lam)
+        cells = [axis_cell, f"{plain.E + shift:.12g}", f"{improved.E + shift:.12g}",
+                 f"{pres.phi:.12g}"]
         if with_ratio:
             c1, c2, delta = bsq_ratio_coeffs(x)
             cells += [f"{c1:.12g}", f"{c2:.12g}", f"{delta:.12g}"]
@@ -506,7 +404,7 @@ def _run_scan(args: argparse.Namespace) -> int:
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value parameter file")
-    parser.add_argument("--system", help="one of " + ", ".join(sorted(_SYSTEM_KEYS)))
+    parser.add_argument("--system", help="one of " + ", ".join(sorted(FAMILIES)))
     parser.add_argument("--N", help="number of particles")
     parser.add_argument("--D", help="space dimension (default 3)")
     parser.add_argument("--m", help="particle mass")
@@ -525,7 +423,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--phi", help="weight: a positive number, or 'dos' to derive it")
     parser.add_argument("--q", help="collective number used directly with phi=2")
     parser.add_argument("--ground-shift", dest="ground_shift",
-                        help="true/false: add the 3 omega / 2 offset (confined only)")
+                        help="true/false: add the D omega / 2 centre-of-mass "
+                             "offset (confined only)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

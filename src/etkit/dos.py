@@ -17,7 +17,7 @@ but re-weights radial excitations; phi = 2 reproduces it identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .errors import (
     DegenerateSlope,
@@ -37,24 +37,7 @@ from .model import (
     q_phi,
 )
 
-__all__ = [
-    "RadialMode",
-    "radial_mode",
-    "dos_energy",
-    "slope_b",
-    "compute_phi",
-    "improved_energy",
-    "improved_energy_at",
-]
-
-
-@dataclass(frozen=True)
-class RadialMode:
-    """Effective mass, stiffness and frequency of the radial vibration."""
-
-    mu: float
-    stiffness: float
-    a: float
+__all__ = ["compute_phi", "improved_energy", "improved_energy_at"]
 
 
 def _radial_mode_terms(
@@ -109,54 +92,12 @@ def _slope_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float]
     return float(b_n), float(b_d)
 
 
-def radial_mode(spec: SystemSpec, lam) -> RadialMode:
-    """Solve the orbit at lambda and quantise the radial vibration.
-
-    Raises NegativeStiffness when the orbit is radially unstable (for
-    example attractive potentials steeper than 1/r^2).
-    """
-    lam = require_finite_positive("lambda", lam)
-    r0 = solve_radius(spec, lam)
-    mu, stiffness = _radial_mode_terms(spec, lam, r0)
-    a_sq = stiffness / mu
-    if a_sq < 0.0:
-        raise NegativeStiffness(
-            f"radial mode unstable for {spec.label} at lambda={lam:.6g}: "
-            f"A^2 = {a_sq:.6g}"
-        )
-    return RadialMode(mu=mu, stiffness=stiffness, a=math.sqrt(a_sq))
-
-
-def dos_energy(spec: SystemSpec, lam, nu) -> float:
-    """Orbit-plus-vibration energy E0(lambda) + A nu.
-
-    Meant for nu in {1/2, 3/2, ...} with nu much smaller than lambda;
-    this is the regime the expansion is derived in, although any
-    positive nu is accepted.
-    """
-    nu = require_finite_positive("nu", nu)
-    mode = radial_mode(spec, lam)
-    return energy(spec, lam).E + mode.a * nu
-
-
-def slope_b(spec: SystemSpec, lam) -> tuple[float, float]:
-    """Numerator and denominator of the slope dE/d(eps) at Q = lambda.
-
-    Kept split because phi uses them in the order lambda * A * (b_d /
-    b_n); dividing late avoids overflow when both parts are large.
-    """
-    lam = require_finite_positive("lambda", lam)
-    r0 = solve_radius(spec, lam)
-    b_n, b_d = _slope_terms(spec, lam, r0)
-    if b_d == 0.0:
-        raise DegenerateSlope(
-            f"slope denominator vanished for {spec.label} at lambda={lam:.6g}"
-        )
-    return b_n, b_d
-
-
 def compute_phi(spec: SystemSpec, lam) -> PhiResult:
-    """phi = lambda A / B from one orbit solve at Q = lambda."""
+    """phi = lambda A / B from one orbit solve at Q = lambda.
+
+    The result also carries the radial-mode frequency squared (a_sq) and
+    the slope B split into numerator and denominator (b_n, b_d).
+    """
     lam = float(lam)
     if lam == 0.0:
         raise PhiUndefined(
@@ -164,6 +105,8 @@ def compute_phi(spec: SystemSpec, lam) -> PhiResult:
             "(all internal modes in an s-wave in D = 2)"
         )
     require_finite_positive("lambda", lam)
+    if spec.precheck is not None:
+        spec.precheck(lam)
     r0 = solve_radius(spec, lam)
     mu, stiffness = _radial_mode_terms(spec, lam, r0)
     a_sq = stiffness / mu

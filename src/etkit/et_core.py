@@ -247,9 +247,13 @@ def energy(spec: SystemSpec, q) -> EtSolution:
     """Solve the three envelope equations at collective number q.
 
     Returns the full solution point; the bound tag is copied from the
-    system's catalogue entry (NONE for hand-built systems).
+    system's catalogue entry (NONE for hand-built systems).  The
+    system's precheck, if any, runs first and names the physical cause
+    where the scan would only report NoSolution.
     """
     q = require_finite_positive("q", q)
+    if spec.precheck is not None:
+        spec.precheck(q)
     r0 = solve_radius(spec, q)
     p0 = q / r0
     return EtSolution(

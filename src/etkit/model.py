@@ -29,7 +29,6 @@ __all__ = [
     "global_q",
     "nu_lambda",
     "q_phi",
-    "validate_derivatives",
 ]
 
 
@@ -46,9 +45,8 @@ class InteractionTriple:
     """A radial function together with its first two derivatives.
 
     The solver differentiates nothing numerically: whoever builds the
-    system supplies value, d1 and d2 as consistent callables.
-    ``validate_derivatives`` offers a finite-difference cross-check for
-    tests.
+    system supplies value, d1 and d2 as consistent callables.  The test
+    suite checks the built-in triples against finite differences.
 
     The bracket scan calls the callables once with a numpy array of
     radii or momenta, so write them with ``np.*`` functions and
@@ -79,6 +77,11 @@ class SystemSpec:
     ``bound`` is a catalogue tag: the built-in system constructors stamp
     the variational character their closed forms guarantee (for the
     plain solution, i.e. phi = 2).  Hand-built systems default to NONE.
+
+    ``precheck``, when set, takes a collective number and raises the
+    physical error (NoBoundState, UnboundRegime) where the family's
+    closed form says no stationary point exists.  ``energy`` and
+    ``compute_phi`` call it before solving.
     """
 
     N: int
@@ -88,6 +91,7 @@ class SystemSpec:
     pairwise: InteractionTriple = field(default_factory=InteractionTriple.zero)
     bound: Bound = Bound.NONE
     label: str = "custom"
+    precheck: Callable[[float], object] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.N, int) or self.N < 2:
@@ -222,31 +226,3 @@ class PhiResult:
     lam: float
     r0_at_lam: float
 
-
-def validate_derivatives(
-    triple: InteractionTriple,
-    points: Sequence[float],
-    h: float = 1e-5,
-    rtol: float = 1e-6,
-) -> None:
-    """Cross-check d1/d2 against central differences of value/d1.
-
-    Test helper; raises DomainError naming the offending point.  The
-    step is scaled per point, so supply points away from domain edges.
-    """
-    for x in points:
-        step = h * max(1.0, abs(x))
-        d1_fd = (triple.value(x + step) - triple.value(x - step)) / (2.0 * step)
-        d2_fd = (triple.d1(x + step) - triple.d1(x - step)) / (2.0 * step)
-        scale1 = max(abs(triple.d1(x)), abs(d1_fd), 1e-12)
-        scale2 = max(abs(triple.d2(x)), abs(d2_fd), 1e-12)
-        if abs(triple.d1(x) - d1_fd) > rtol * scale1:
-            raise DomainError(
-                f"{triple.label or 'triple'}: d1 disagrees with finite "
-                f"difference at x={x!r}"
-            )
-        if abs(triple.d2(x) - d2_fd) > rtol * scale2:
-            raise DomainError(
-                f"{triple.label or 'triple'}: d2 disagrees with finite "
-                f"difference at x={x!r}"
-            )

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, NoBoundState, UnboundRegime, require_finite_positive
 from .specfun import QuarticSign, beta, lambert_w0, quartic_root_g
-from .model import Bound, InteractionTriple, SystemSpec
+from .model import Bound, InteractionTriple, QuantumNumbers, SystemSpec, nu_lambda, q_phi
 
 __all__ = [
     "PowerLaw2Params",
@@ -35,6 +35,7 @@ __all__ = [
     "GaussianParams",
     "ConfinedParams",
     "BaryonParams",
+    "FAMILIES",
     "powerlaw2_system",
     "powerlaw2_energy",
     "powerlaw2_phi",
@@ -210,7 +211,7 @@ def gaussian_system(p: GaussianParams, N: int, D: int = 3) -> SystemSpec:
     )
     return SystemSpec(
         N=N, D=D, kinetic=_nonrel_kinetic(m), pairwise=pair,
-        bound=Bound.UPPER, label="gaussian",
+        bound=Bound.UPPER, label="gaussian", precheck=partial(_binding_y, p, N),
     )
 
 
@@ -219,15 +220,21 @@ def gaussian_y(p: GaussianParams, N: int, z: float) -> float:
     return -z / (math.sqrt(N) * (N - 1.0) * p.R * math.sqrt(2.0 * p.m * p.V0))
 
 
+def _binding_y(p: GaussianParams, N: int, z: float) -> float:
+    """gaussian_y, or NoBoundState where it lies below the Lambert branch."""
+    y = gaussian_y(p, N, z)
+    if y < -math.exp(-1.0):
+        raise NoBoundState(
+            f"gaussian system does not bind at q={z:.6g}: scaled number "
+            f"{y:.6g} lies below -1/e"
+        )
+    return y
+
+
 def gaussian_energy(p: GaussianParams, N: int, q: float) -> float:
     """Closed-form upper bound; raises NoBoundState below the Lambert branch."""
     require_finite_positive("q", q)
-    y = gaussian_y(p, N, q)
-    if y < -math.exp(-1.0):
-        raise NoBoundState(
-            f"gaussian system does not bind at q={q:.6g}: scaled number "
-            f"{y:.6g} lies below -1/e"
-        )
+    y = _binding_y(p, N, q)
     w = lambert_w0(y)
     cn = N * (N - 1.0) / 2.0
     return -cn * p.V0 * y * y * (1.0 + 2.0 * w) / (w * w)
@@ -236,13 +243,7 @@ def gaussian_energy(p: GaussianParams, N: int, q: float) -> float:
 def gaussian_phi(p: GaussianParams, N: int, lam: float) -> float:
     """phi = 2 sqrt(1 + W0(Y(lambda)))."""
     require_finite_positive("lambda", lam)
-    y = gaussian_y(p, N, lam)
-    if y < -math.exp(-1.0):
-        raise NoBoundState(
-            f"gaussian system does not bind at lambda={lam:.6g}: scaled "
-            f"number {y:.6g} lies below -1/e"
-        )
-    return 2.0 * math.sqrt(1.0 + lambert_w0(y))
+    return 2.0 * math.sqrt(1.0 + lambert_w0(_binding_y(p, N, lam)))
 
 
 def gaussian_harmonic_limit(p: GaussianParams, N: int, q: float) -> float:
@@ -383,13 +384,12 @@ def baryon_system(p: BaryonParams, N: int, D: int = 3) -> SystemSpec:
         pair = InteractionTriple.zero()
     return SystemSpec(
         N=N, D=D, kinetic=_ULTRAREL_KINETIC, onebody=one, pairwise=pair,
-        bound=Bound.UPPER, label="baryon",
+        bound=Bound.UPPER, label="baryon", precheck=partial(_radicand, p, N),
     )
 
 
-def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
-    """Closed-form upper bound E = 2 sqrt(k (N q - C^(3/2) g))."""
-    require_finite_positive("q", q)
+def _radicand(p: BaryonParams, N: int, q: float) -> float:
+    """N q - C^(3/2) g, or UnboundRegime where it is not positive."""
     cn = N * (N - 1.0) / 2.0
     radicand = N * q - cn ** 1.5 * p.g
     if radicand <= 0.0:
@@ -397,7 +397,13 @@ def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
             f"baryon energy undefined: N q = {N * q:.6g} does not exceed "
             f"C^(3/2) g = {cn ** 1.5 * p.g:.6g}"
         )
-    return math.sqrt(4.0 * p.tension_k) * math.sqrt(radicand)
+    return radicand
+
+
+def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
+    """Closed-form upper bound E = 2 sqrt(k (N q - C^(3/2) g))."""
+    require_finite_positive("q", q)
+    return math.sqrt(4.0 * p.tension_k) * math.sqrt(_radicand(p, N, q))
 
 
 def baryon_phi(p: BaryonParams, N: int, lam: float) -> float:
@@ -410,6 +416,19 @@ def baryon_phi(p: BaryonParams, N: int, lam: float) -> float:
             f"term overwhelms the orbital motion"
         )
     return math.sqrt(radicand)
+
+
+# ------------------------------------------------------------------ families
+
+# every family by its command-line name: the parameter record and the
+# SystemSpec builder, called as builder(params, N, D)
+FAMILIES = {
+    "powerlaw2": (PowerLaw2Params, powerlaw2_system),
+    "powerlaw1": (PowerLaw1Params, powerlaw1_system),
+    "gaussian": (GaussianParams, gaussian_system),
+    "confined": (ConfinedParams, confined_system),
+    "baryon": (BaryonParams, baryon_system),
+}
 
 
 # ------------------------------------------------------ band-spectrum ratio
@@ -512,18 +531,16 @@ def table1(phi_mode: float | str = "dos", rows=None) -> Table1Result:
         if unknown:
             raise DomainError(f"states not in the reference table: {unknown}")
 
-    # collective numbers for N=3, D=3: nu = n_sum + 1, lambda = l_sum + 1
+    spec = baryon_system(TABLE1_PARAMS, TABLE1_N, TABLE1_D)
     out = []
     for n_sum, l_sum in selected:
-        nu = Fraction(n_sum) + Fraction(TABLE1_N - 1, 2)
-        lam = Fraction(l_sum) + Fraction((TABLE1_N - 1) * (TABLE1_D - 2), 2)
+        nu, lam = nu_lambda(QuantumNumbers.from_sums(n_sum, l_sum), spec)
         phi = (
             baryon_phi(TABLE1_PARAMS, TABLE1_N, float(lam))
             if phi_mode == "dos"
             else phi_mode
         )
-        q = phi * float(nu) + float(lam)
-        e = baryon_energy(TABLE1_PARAMS, TABLE1_N, q)
+        e = baryon_energy(TABLE1_PARAMS, TABLE1_N, float(q_phi(nu, lam, phi)))
         out.append(Table1Row(n_sum, l_sum, exact_by_state[(n_sum, l_sum)], e, phi))
 
     def _mean_err(rs) -> float:

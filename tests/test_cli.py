@@ -1,4 +1,7 @@
-"""End-to-end checks of the command line front end via subprocess."""
+"""End-to-end checks of the command line front end via subprocess.
+
+Configuration errors are checked in-process through ``cli.main``.
+"""
 
 import math
 import subprocess
@@ -6,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from etkit import cli
 
 GOLDEN = Path(__file__).parent / "data" / "table1_all.csv"
 
@@ -131,6 +136,44 @@ class TestSolve:
         )
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+
+class TestConfigErrors:
+    # in-process, so each case costs no interpreter start-up
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--system", "gaussian", "--m", "1", "--V0", "1", "--R", "1", "--b", "2",
+              "--N", "2", "--q", "1"],
+             "parameter 'b' does not apply to system 'gaussian'"),
+            (["--system", "baryon", "--N", "3", "--k", "0.2", "--g", "0.1",
+              "--alpha-s", "0.4", "--q", "3"],
+             "give either g or alpha_s for the baryon system, not both"),
+            (["--system", "baryon", "--N", "3", "--k", "0.2", "--q", "3"],
+             "the baryon system needs g or alpha_s"),
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
+              "--q", "1", "--ground-shift", "true"],
+             "parameter 'ground_shift' does not apply to system 'powerlaw2'"),
+            (["--system", "quark", "--N", "3", "--q", "3"],
+             "unknown system 'quark'; choose one of baryon, confined, gaussian, "
+             "powerlaw1, powerlaw2"),
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--q", "1"],
+             "system 'powerlaw2' needs parameter 'N'"),
+        ],
+        ids=["foreign-key", "g-and-alpha-s", "no-coupling", "ground-shift",
+             "unknown-system", "missing-N"],
+    )
+    def test_exit_code_and_message(self, capsys, argv, message):
+        assert cli.main(["solve", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+
+    def test_unbound_baryon_is_a_domain_failure(self, capsys):
+        argv = ["solve", "--system", "baryon", "--N", "1000", "--k", "1",
+                "--g", "0.01", "--q", "1498.5"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("UnboundRegime: ")
 
 
 class TestConfigFile:

@@ -20,8 +20,31 @@ from etkit import (
     nu_lambda,
     powerlaw2_system,
     q_phi,
-    validate_derivatives,
 )
+
+
+def validate_derivatives(triple, points, h=1e-5, rtol=1e-6):
+    """Cross-check d1/d2 against central differences of value/d1.
+
+    Raises DomainError naming the offending point.  The step is scaled
+    per point, so supply points away from domain edges.
+    """
+    for x in points:
+        step = h * max(1.0, abs(x))
+        d1_fd = (triple.value(x + step) - triple.value(x - step)) / (2.0 * step)
+        d2_fd = (triple.d1(x + step) - triple.d1(x - step)) / (2.0 * step)
+        scale1 = max(abs(triple.d1(x)), abs(d1_fd), 1e-12)
+        scale2 = max(abs(triple.d2(x)), abs(d2_fd), 1e-12)
+        if abs(triple.d1(x) - d1_fd) > rtol * scale1:
+            raise DomainError(
+                f"{triple.label or 'triple'}: d1 disagrees with finite "
+                f"difference at x={x!r}"
+            )
+        if abs(triple.d2(x) - d2_fd) > rtol * scale2:
+            raise DomainError(
+                f"{triple.label or 'triple'}: d2 disagrees with finite "
+                f"difference at x={x!r}"
+            )
 
 
 def _harmonic(n_body: int, dim: int = 3) -> SystemSpec:

@@ -284,6 +284,31 @@ class TestNonFiniteInputs:
             BaryonParams(tension_k=0.2, g=bad)
 
 
+class TestSameErrorOnBothPaths:
+    # the generic solver used to raise NoSolution where the closed form
+    # names the physical cause
+    @pytest.mark.parametrize(
+        "build,closed_form,params,n_body,q,error",
+        [
+            (baryon_system, baryon_energy, BaryonParams(tension_k=1.0, g=0.01),
+             1000, 1498.5, UnboundRegime),
+            (gaussian_system, gaussian_energy, GaussianParams(m=1.0, V0=0.01, R=1.0),
+             2, 1.5, NoBoundState),
+        ],
+        ids=["baryon", "gaussian"],
+    )
+    def test_generic_path_raises_the_closed_form_error(
+        self, build, closed_form, params, n_body, q, error
+    ):
+        spec = build(params, n_body)
+        with pytest.raises(error):
+            closed_form(params, n_body, q)
+        with pytest.raises(error):
+            energy(spec, q)
+        with pytest.raises(error):
+            compute_phi(spec, q)
+
+
 class TestBandRatio:
     def test_equal_at_two(self):
         c1, c2, delta = bsq_ratio_coeffs(2.0)
