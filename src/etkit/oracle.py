@@ -7,14 +7,24 @@ Solves the reduced radial problem
 by outward Numerov integration.  Each level is isolated by bisection on
 the node count, only until the bracket ends hold n_r and n_r + 1 nodes;
 across that bracket the edge value u(rmax) changes sign once, at the
-level, and Brent's method converges on that zero.  Nothing here touches
-the envelope machinery beyond that generic root finder: this is the
-reference the approximate energies and their variational tags are
-tested against.  The scheme is deliberately the simplest one with a
-controllable error: global accuracy is O(h^4) in the mesh step, and the
-box is grown until the classical turning point sits below 60% of it and
-the WKB tail suppression beyond that point is strong enough not to bias
-the eigenvalue.
+level, and Brent's method converges on that zero.  A bracket whose
+lower end already lies at or above the potential's large-distance limit
+holds no bound level, and is returned without that refinement.
+
+Nothing here touches the envelope machinery beyond that generic root
+finder: this is the reference the approximate energies and their
+variational tags are tested against.  The scheme is deliberately the
+simplest one with a controllable error: global accuracy is O(h^4) in
+the mesh step, and the box is grown until the classical turning point
+sits below 60% of it and the WKB tail suppression beyond that point is
+strong enough not to bias the eigenvalue.
+
+There are two Numerov passes with the same arithmetic.  The
+node-counting pass (_sweep) serves the bracket walk, the bisection and
+the final node check.  The edge-only pass (_edge) serves Brent: it runs
+on y = f u, where the recurrence needs no sign bookkeeping, and checks
+for overflow once per chunk of steps instead of at every step.  Both
+give the same edge value bit for bit.
 
 Until a level has been shot, each box first takes a Langer-WKB estimate
 of it from the potential samples it already holds, which costs no
@@ -27,7 +37,6 @@ one.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable
 
@@ -55,6 +64,9 @@ _SEED_SPAN = 0.01
 # depth below the asymptote or its height above the Langer minimum,
 # whichever is smaller (the worst miss seen is 1.5 %)
 _SKIP_MARGIN = 0.05
+
+# steps of the edge-only pass between two overflow checks
+_CHUNK = 2048
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
 _Shot = tuple[float, int, float]
@@ -120,7 +132,7 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
 
 
 def _sweep(f: np.ndarray, u1: float, first_term: float = 0.0) -> tuple[int, float]:
-    """One Numerov pass; returns (interior node count, u at the box edge).
+    """Node-counting Numerov pass; returns (interior node count, u at the box edge).
 
     f holds the Numerov factors 1 + h^2 k^2 / 12, with f[0] = 1.
     first_term stands in for f_0 u_0 in the first three-point relation:
@@ -132,28 +144,73 @@ def _sweep(f: np.ndarray, u1: float, first_term: float = 0.0) -> tuple[int, floa
     |f_(i-1)| and B_i = s_i s_(i-2), s = sign(f).  B_i is exactly 1
     wherever f keeps its sign: a rounded ratio f_(i-2) / f_i in its
     place would not telescope and shifts levels near zero by ~1e-11
-    relative.  numpy computes the coefficients; the sequential loop runs
-    in plain Python over lists.
+    relative.  f changes sign only next to the origin for l >= 3 or
+    under a steep potential, so the B list stops at the last step where
+    B_i is not 1.  numpy computes the coefficients; the sequential loop
+    runs in plain Python, rescaling whenever |v| passes 1e250.
+
+    _edge is the same recurrence without the node count, for Brent's
+    method, which only needs the edge value.
     """
     s = np.sign(f)
-    a = (s[2:] * (12.0 - 10.0 * f[1:-1]) / np.abs(f[1:-1])).tolist()
+    coeffs = memoryview(s[2:] * (12.0 - 10.0 * f[1:-1]) / np.abs(f[1:-1]))
     b = s[2:] * s[:-2]
-    # f changes sign only next to the origin for l >= 3 or under a steep
-    # potential; elsewhere B is 1 throughout and needs no list
-    b = b.tolist() if (b < 0.0).any() else itertools.repeat(1.0)
+    not_one = np.flatnonzero(b != 1.0)
+    mixed = int(not_one[-1]) + 1 if not_one.size else 0
     # plain floats: a numpy scalar here would slow every step of the loop
     v_prev = float(first_term)
     v_cur = abs(float(f[1])) * float(u1)
     nodes = 0
-    for a_i, b_i in zip(a, b):
+    for a_i, b_i in zip(coeffs[:mixed], b[:mixed].tolist()):
         v_prev, v_cur = v_cur, a_i * v_cur - b_i * v_prev
         if v_cur * v_prev < 0.0:
             nodes += 1
-        if abs(v_cur) > 1e250:
+        if v_cur > 1e250 or v_cur < -1e250:
             # rescale; the eigenvalue condition only uses signs and zeros
             v_prev *= 1e-250
             v_cur *= 1e-250
+    for a_i in coeffs[mixed:]:
+        v_prev, v_cur = v_cur, a_i * v_cur - v_prev
+        if v_cur * v_prev < 0.0:
+            nodes += 1
+        if v_cur > 1e250 or v_cur < -1e250:
+            v_prev *= 1e-250
+            v_cur *= 1e-250
     return nodes, v_cur / abs(float(f[-1]))
+
+
+def _edge(f: np.ndarray, u1: float, first_term: float = 0.0) -> float:
+    """Edge-only Numerov pass: u at the box edge, as _sweep returns it.
+
+    The pass runs on y_i = f_i u_i, for which Numerov reads y_i =
+    A_i y_(i-1) - y_(i-2) with A_i = (12 - 10 f_(i-1)) / f_(i-1): B is 1
+    whatever the sign of f.  _sweep's v is sign(f) y, so both passes do
+    the same arithmetic up to exact sign flips and give the same edge
+    value bit for bit.  Overflow is checked once per chunk of _CHUNK
+    steps: a chunk that ends non-finite or above 1e250 is run again from
+    its start with _sweep's per-step rescaling.  Where u grows steadily,
+    as past a turning point, a chunk ends on its largest value, so the
+    rescales fall on the same steps as in _sweep; a value that peaks
+    above 1e250 and falls back within one chunk is left unscaled, which
+    is still finite and keeps every sign and zero.
+    """
+    coeffs = memoryview((12.0 - 10.0 * f[1:-1]) / f[1:-1])
+    y_prev = float(first_term)
+    y_cur = float(f[1]) * float(u1)
+    for start in range(0, len(coeffs), _CHUNK):
+        chunk = coeffs[start:start + _CHUNK]
+        p, c = y_prev, y_cur
+        for a_i in chunk:
+            p, c = c, a_i * c - p
+        if not -1e250 <= c <= 1e250:
+            p, c = y_prev, y_cur
+            for a_i in chunk:
+                p, c = c, a_i * c - p
+                if c > 1e250 or c < -1e250:
+                    p *= 1e-250
+                    c *= 1e-250
+        y_prev, y_cur = p, c
+    return y_cur / float(f[-1])
 
 
 class _Shooter:
@@ -203,11 +260,17 @@ class _Shooter:
         )
         return h ** (l + 1) * (1.0 + h * (c1 + h * c2))
 
-    def shoot(self, e: float) -> tuple[int, float]:
+    def _numerov_input(self, e: float) -> tuple[np.ndarray, float, float]:
+        """Numerov factors f, u at the first mesh point, and the f_0 u_0 stand-in."""
         f = 1.0 + (self.h * self.h * self.mu / 6.0) * (e - self.veff)
         f[0] = 1.0
-        first = -(self.h * self.h / 12.0) * self.g0
-        return _sweep(f, self._u1(e), first)
+        return f, self._u1(e), -(self.h * self.h / 12.0) * self.g0
+
+    def shoot(self, e: float) -> tuple[int, float]:
+        return _sweep(*self._numerov_input(e))
+
+    def edge(self, e: float) -> float:
+        return _edge(*self._numerov_input(e))
 
     def nodes(self, e: float) -> int:
         return self.shoot(e)[0]
@@ -232,7 +295,12 @@ class _Shooter:
         return None, missed
 
     def solve(
-        self, n_r: int, etol: float, guess: float | None = None, span: float = _WARM_SPAN
+        self,
+        n_r: int,
+        etol: float,
+        guess: float | None = None,
+        span: float = _WARM_SPAN,
+        asym: float = math.inf,
     ) -> float:
         """Level with n_r nodes: node-count bisection, then Brent on u(rmax).
 
@@ -240,6 +308,8 @@ class _Shooter:
         the bracket at +-span relative around it; without one, the
         bracket starts from the extremes of the effective potential.  A
         shot that misses one end of the bracket is kept as the other end.
+        Once the level is isolated, a lower end unbound against asym (the
+        potential's large-distance limit) is returned unrefined.
         """
         if guess is None:
             vmin = float(np.min(self.veff[1:]))
@@ -269,11 +339,14 @@ class _Shooter:
                 lo, n_lo, u_lo = mid, n_mid, u_mid
             else:
                 hi, n_hi, u_hi = mid, n_mid, u_mid
+        if _unbound(lo, asym):
+            # the level lies above lo, so it is unbound too: converging
+            # on it would only be thrown away
+            return lo
         try:
             # etol is relative above |E| = 1 and absolute below, as in the
             # node-count bisection
-            return _brent(lambda e: self.shoot(e)[1], lo, hi, rtol=etol, atol=etol,
-                          fa=u_lo, fb=u_hi)
+            return _brent(self.edge, lo, hi, rtol=etol, atol=etol, fa=u_lo, fb=u_hi)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(
                 f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: {exc}"
@@ -392,7 +465,7 @@ def radial_eigenvalue(
             if not fixed_box and shooter.too_small(guess, asym):
                 box *= 1.8
                 continue
-        e = shooter.solve(n_r, etol, guess=guess, span=span)
+        e = shooter.solve(n_r, etol, guess=guess, span=span, asym=asym)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
         # was being squeezed

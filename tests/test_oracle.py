@@ -171,15 +171,25 @@ def _power_pair(b: float, a: float) -> InteractionTriple:
     return powerlaw2_system(PowerLaw2Params(m=1.0, a=a, b=b), 2).pairwise
 
 
+def _wrap_passes(monkeypatch, record) -> None:
+    """Call record(f) before every Numerov pass: node-counting and edge-only."""
+    for name in ("_sweep", "_edge"):
+        numerov_pass = getattr(oracle, name)
+
+        def wrapped(f, *args, _pass=numerov_pass):
+            record(f)
+            return _pass(f, *args)
+
+        monkeypatch.setattr(oracle, name, wrapped)
+
+
 def _count_sweeps(monkeypatch) -> list[int]:
     count = [0]
-    sweep = oracle._sweep
 
-    def counted(*args):
+    def counted(f):
         count[0] += 1
-        return sweep(*args)
 
-    monkeypatch.setattr(oracle, "_sweep", counted)
+    _wrap_passes(monkeypatch, counted)
     return count
 
 
@@ -204,6 +214,25 @@ class TestSweepBudget:
             -0.25 / 9.0, rel=1e-9
         )
         assert count[0] <= 20
+
+    # the oracle reads only the value of a potential; the derivatives
+    # are placeholders
+    @pytest.mark.parametrize(
+        "value,l,n_r,ceiling",
+        [
+            (lambda r: -10.0 * math.exp(-r * r), 3, 0, 85),
+            (lambda r: -2.0 * math.exp(-0.3 * r) / r, 5, 1, 60),
+        ],
+        ids=["gaussian_l3", "yukawa_l5"],
+    )
+    def test_unbound_rounds_skip_the_edge_refinement(self, monkeypatch, value, l, n_r, ceiling):
+        # converging every unbound round took 107 and 104 sweeps; a
+        # bracket whose lower end is already unbound now ends the round
+        count = _count_sweeps(monkeypatch)
+        well = InteractionTriple(value, OSC.d1, OSC.d2, "well")
+        with pytest.raises(NoBoundState):
+            radial_eigenvalue(0.5, well, l=l, n_r=n_r)
+        assert count[0] <= ceiling
 
 
 # two-body levels (b, n_r, l) whose exact value is known: oscillator,
@@ -323,13 +352,7 @@ class TestWkbStart:
 
         counted = InteractionTriple(value, pot.d1, pot.d2, pot.label)
         swept_meshes = set()
-        sweep = oracle._sweep
-
-        def recorded(f, *args):
-            swept_meshes.add(len(f) - 1)
-            return sweep(f, *args)
-
-        monkeypatch.setattr(oracle, "_sweep", recorded)
+        _wrap_passes(monkeypatch, lambda f: swept_meshes.add(len(f) - 1))
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
         box, n = _box(growths)
         # one array call per box, and sweeps only on the mesh of the box
@@ -370,14 +393,65 @@ class TestWkbStart:
 
 
 def _reference_sweep(f, u1, first_term):
-    """The Numerov recurrence on u itself, one step at a time."""
-    u_cur, nodes, carry = u1, 0, first_term
+    """The Numerov recurrence on u itself, one step at a time.
+
+    Returns (nodes, u at the edge, rescales): past 1e250, u is scaled by
+    1e-250, so the edge value holds only up to that many such factors.
+    """
+    u_cur, nodes, carry, rescales = u1, 0, first_term, 0
     for i in range(2, len(f)):
         u_next = ((12.0 - 10.0 * f[i - 1]) * u_cur - carry) / f[i]
         nodes += u_next * u_cur < 0.0
         carry = f[i - 1] * u_cur
         u_cur = u_next
-    return nodes, u_cur
+        if abs(u_cur) > 1e250:
+            u_cur *= 1e-250
+            carry *= 1e-250
+            rescales += 1
+    return nodes, u_cur, rescales
+
+
+def _agree_up_to_rescale(x, ref, rel=1e-9):
+    """x equals ref to rel, up to a whole power of the 1e250 rescale."""
+    if x == 0.0 or ref == 0.0:
+        return x == ref
+    decades = math.log10(abs(x)) - math.log10(abs(ref))
+    off = decades - 250.0 * round(decades / 250.0)
+    return (x > 0.0) == (ref > 0.0) and abs(off) <= rel / math.log(10.0)
+
+
+CHUNK = oracle._CHUNK
+# meshes for the two Numerov passes: mesh lengths around the chunk of
+# the edge-only pass, f < 0 where l >= 3 or a steep potential make it
+# so, and forbidden regions that grow past the 1e250 rescale
+MESHES = {
+    "short": 600,
+    "chunk_multiple": 2 * CHUNK + 2,
+    "plain": 2 * CHUNK + 777,
+    "negative_start": 2 * CHUNK + 777,
+    "negative_end": 2 * CHUNK + 777,
+    "rescale_in_chunk": CHUNK + 700,
+    "overflow_in_chunk": 2 * CHUNK + 777,
+}
+
+
+def _mesh(case, seed):
+    n = MESHES[case]
+    rng = np.random.default_rng(seed)
+    # f > 1, an allowed region, unless the case says otherwise
+    f = 1.01 + 0.005 * np.sin(np.linspace(0.0, n / 15.0, n)) + 1e-3 * rng.standard_normal(n)
+    f[0] = 1.0
+    if case == "negative_start":
+        f[1:3] = [-0.7, -0.2]
+    elif case == "negative_end":
+        f[-4:] = [-0.3, -1.5, -4.0, -9.0]
+    elif case == "rescale_in_chunk":
+        # u grows ~3x a step: past 1e250 once, inside the second chunk
+        f[CHUNK + 100:] = 0.9
+    elif case == "overflow_in_chunk":
+        # u grows ~14x a step: an unscaled chunk would end at inf
+        f[CHUNK + 100:] = 0.5
+    return f
 
 
 class TestSweep:
@@ -392,6 +466,22 @@ class TestSweep:
         if negative_start:
             f[1:3] = [-0.7, -0.2]
         nodes, edge = oracle._sweep(f, 1e-3, 0.4)
-        ref_nodes, ref_edge = _reference_sweep(f.tolist(), 1e-3, 0.4)
+        ref_nodes, ref_edge, _ = _reference_sweep(f.tolist(), 1e-3, 0.4)
         assert nodes == ref_nodes
         assert edge == pytest.approx(ref_edge, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", sorted(MESHES))
+    def test_both_passes_match_the_plain_recurrence(self, case, seed):
+        f = _mesh(case, seed)
+        nodes, edge = oracle._sweep(f, 1e-3, 0.4)
+        ref_nodes, ref_edge, rescales = _reference_sweep(f.tolist(), 1e-3, 0.4)
+        # the edge-only pass does the same arithmetic up to exact sign flips
+        assert oracle._edge(f, 1e-3, 0.4) == edge
+        assert nodes == ref_nodes
+        assert _agree_up_to_rescale(edge, ref_edge)
+        expected = {"rescale_in_chunk": 1}.get(case, 0)
+        if case == "overflow_in_chunk":
+            assert rescales > 1
+        else:
+            assert rescales == expected
