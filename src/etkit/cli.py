@@ -26,7 +26,7 @@ from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, table1
 
 
 class ConfigError(Exception):
-    """Bad key=value input, from a file or from flags."""
+    """Bad key=value input, from a file or from flags, or an unwritable output path."""
 
 
 _SHARED_KEYS = ("system", "N", "D", "nu", "lambda", "n_sum", "l_sum", "phi", "q")
@@ -305,11 +305,29 @@ def _table_pretty(results) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_target(path: str | None) -> Path | None:
+    """The --csv path, checked before any work is done: its directory must exist."""
+    if not path:
+        return None
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise ConfigError(f"{path}: cannot write CSV: no directory {str(target.parent)!r}")
+    return target
+
+
+def _write_csv(target: Path, text: str) -> None:
+    try:
+        target.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"{target}: cannot write CSV: {exc}") from exc
+
+
 def _run_table1(args: argparse.Namespace) -> int:
     modes = _table_modes(args.phi)
+    target = _csv_target(args.csv)
     results = [(mode_id, table1(phi_mode=mode)) for mode_id, mode in modes]
-    if args.csv:
-        Path(args.csv).write_text(_table_csv(results))
+    if target:
+        _write_csv(target, _table_csv(results))
     else:
         sys.stdout.write(_table_pretty(results))
     return 0
@@ -393,10 +411,11 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
 
 def _run_scan(args: argparse.Namespace) -> int:
     settings = _collect_settings(args)
+    target = _csv_target(args.csv)
     header, rows = _scan_rows(args, settings)
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(text)
+    if target:
+        _write_csv(target, text)
     else:
         sys.stdout.write(text)
     return 0

@@ -22,9 +22,13 @@ strong enough not to bias the eigenvalue.
 There are two Numerov passes with the same arithmetic.  The
 node-counting pass (_sweep) serves the bracket walk, the bisection and
 the final node check.  The edge-only pass (_edge) serves Brent: it runs
-on y = f u, where the recurrence needs no sign bookkeeping, and checks
-for overflow once per chunk of steps instead of at every step.  Both
-give the same edge value bit for bit.
+on y = f u, where the recurrence needs no sign bookkeeping.  Both check
+for overflow once per chunk of steps instead of at every step, and
+both give the same edge value bit for bit.  For l >= 3 the Numerov
+factor of the first ~l / 3.5 mesh points is negative, whatever the
+step, and a recurrence through them flips sign at spurious nodes: both
+passes start at mesh point i0 = floor(sqrt(l(l+1) / 12)) + 2, past that
+region, from the small-r series of u.
 
 Until a level has been shot, each box first takes a Langer-WKB estimate
 of it from the potential samples it already holds, which costs no
@@ -32,7 +36,10 @@ Numerov sweep.  A box in which the estimate, lowered by a safety
 margin, already fails the box test is skipped unshot.  The first box
 that is shot starts its bracket at +-1 % around the estimate, and each
 larger box after it at +-1e-3 around the level found in the previous
-one.
+one.  The estimate is solved only to 1e-5 relative (_WKB_TOL), a
+thousandth of that bracket's half-width and less still of the skip
+margin: far inside the ~1 % by which WKB itself misses the level, and
+enough to leave every bracket and skip where the exact root would.
 """
 
 from __future__ import annotations
@@ -64,8 +71,13 @@ _SEED_SPAN = 0.01
 # depth below the asymptote or its height above the Langer minimum,
 # whichever is smaller (the worst miss seen is 1.5 %)
 _SKIP_MARGIN = 0.05
+# tolerance of the WKB estimate, relative to it and to the depth of the
+# Langer well: the estimate only centres a bracket of half-width
+# _SEED_SPAN and feeds a skip test with margin _SKIP_MARGIN, so an error
+# a thousandth of the smaller of the two leaves both as they were
+_WKB_TOL = 1e-3 * min(_SEED_SPAN, _SKIP_MARGIN)
 
-# steps of the edge-only pass between two overflow checks
+# steps of either Numerov pass between two overflow checks
 _CHUNK = 2048
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
@@ -131,34 +143,40 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep(f: np.ndarray, u1: float, first_term: float = 0.0) -> tuple[int, float]:
+def _sweep(
+    f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1
+) -> tuple[int, float]:
     """Node-counting Numerov pass; returns (interior node count, u at the box edge).
 
-    f holds the Numerov factors 1 + h^2 k^2 / 12, with f[0] = 1.
-    first_term stands in for f_0 u_0 in the first three-point relation:
-    u(0) = 0, but the product (V u)(r) can have a finite limit at the
-    origin that the grid cannot represent.
+    f holds the Numerov factors 1 + h^2 k^2 / 12 on the whole mesh.  The
+    pass steps outward from mesh point start, where u is u1; first_term
+    stands in for f u at the point before it.  From the origin (start =
+    1, f[0] = 1) that is f_0 u_0: u(0) = 0, but the product (V u)(r) can
+    have a finite limit at the origin that the grid cannot represent.
 
     The pass runs on v_i = |f_i| u_i, which has the sign of u_i and obeys
     v_i = A_i v_(i-1) - B_i v_(i-2) with A_i = s_i (12 - 10 f_(i-1)) /
     |f_(i-1)| and B_i = s_i s_(i-2), s = sign(f).  B_i is exactly 1
     wherever f keeps its sign: a rounded ratio f_(i-2) / f_i in its
     place would not telescope and shifts levels near zero by ~1e-11
-    relative.  f changes sign only next to the origin for l >= 3 or
-    under a steep potential, so the B list stops at the last step where
-    B_i is not 1.  numpy computes the coefficients; the sequential loop
-    runs in plain Python, rescaling whenever |v| passes 1e250.
+    relative.  f changes sign only under a steep potential, so the B
+    list stops at the last step where B_i is not 1.  numpy computes the
+    coefficients; the sequential loop runs in plain Python.  Past the B
+    list, overflow is checked once per chunk of _CHUNK steps, as in
+    _edge: a chunk that ends non-finite or above 1e250 is run again from
+    its start, with its node count, rescaling whenever |v| passes 1e250.
 
     _edge is the same recurrence without the node count, for Brent's
     method, which only needs the edge value.
     """
+    f = f[start - 1:]
     s = np.sign(f)
     coeffs = memoryview(s[2:] * (12.0 - 10.0 * f[1:-1]) / np.abs(f[1:-1]))
     b = s[2:] * s[:-2]
     not_one = np.flatnonzero(b != 1.0)
     mixed = int(not_one[-1]) + 1 if not_one.size else 0
     # plain floats: a numpy scalar here would slow every step of the loop
-    v_prev = float(first_term)
+    v_prev = float(first_term) * float(s[0])
     v_cur = abs(float(f[1])) * float(u1)
     nodes = 0
     for a_i, b_i in zip(coeffs[:mixed], b[:mixed].tolist()):
@@ -169,17 +187,27 @@ def _sweep(f: np.ndarray, u1: float, first_term: float = 0.0) -> tuple[int, floa
             # rescale; the eigenvalue condition only uses signs and zeros
             v_prev *= 1e-250
             v_cur *= 1e-250
-    for a_i in coeffs[mixed:]:
-        v_prev, v_cur = v_cur, a_i * v_cur - v_prev
-        if v_cur * v_prev < 0.0:
-            nodes += 1
-        if v_cur > 1e250 or v_cur < -1e250:
-            v_prev *= 1e-250
-            v_cur *= 1e-250
+    for first in range(mixed, len(coeffs), _CHUNK):
+        chunk = coeffs[first:first + _CHUNK]
+        p, c, k = v_prev, v_cur, nodes
+        for a_i in chunk:
+            p, c = c, a_i * c - p
+            if c * p < 0.0:
+                k += 1
+        if not -1e250 <= c <= 1e250:
+            p, c, k = v_prev, v_cur, nodes
+            for a_i in chunk:
+                p, c = c, a_i * c - p
+                if c * p < 0.0:
+                    k += 1
+                if c > 1e250 or c < -1e250:
+                    p *= 1e-250
+                    c *= 1e-250
+        v_prev, v_cur, nodes = p, c, k
     return nodes, v_cur / abs(float(f[-1]))
 
 
-def _edge(f: np.ndarray, u1: float, first_term: float = 0.0) -> float:
+def _edge(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1) -> float:
     """Edge-only Numerov pass: u at the box edge, as _sweep returns it.
 
     The pass runs on y_i = f_i u_i, for which Numerov reads y_i =
@@ -188,17 +216,17 @@ def _edge(f: np.ndarray, u1: float, first_term: float = 0.0) -> float:
     the same arithmetic up to exact sign flips and give the same edge
     value bit for bit.  Overflow is checked once per chunk of _CHUNK
     steps: a chunk that ends non-finite or above 1e250 is run again from
-    its start with _sweep's per-step rescaling.  Where u grows steadily,
-    as past a turning point, a chunk ends on its largest value, so the
-    rescales fall on the same steps as in _sweep; a value that peaks
-    above 1e250 and falls back within one chunk is left unscaled, which
-    is still finite and keeps every sign and zero.
+    its start with the per-step rescaling.  Where u grows steadily, as
+    past a turning point, a chunk ends on its largest value, so the
+    rescales fall on the same steps as a per-step check would put them;
+    a value that peaks above 1e250 and falls back within one chunk is
+    left unscaled, which is still finite and keeps every sign and zero.
     """
-    coeffs = memoryview((12.0 - 10.0 * f[1:-1]) / f[1:-1])
+    coeffs = memoryview((12.0 - 10.0 * f[start:-1]) / f[start:-1])
     y_prev = float(first_term)
-    y_cur = float(f[1]) * float(u1)
-    for start in range(0, len(coeffs), _CHUNK):
-        chunk = coeffs[start:start + _CHUNK]
+    y_cur = float(f[start]) * float(u1)
+    for first in range(0, len(coeffs), _CHUNK):
+        chunk = coeffs[first:first + _CHUNK]
         p, c = y_prev, y_cur
         for a_i in chunk:
             p, c = c, a_i * c - p
@@ -240,6 +268,7 @@ class _Shooter:
         self.veff[0] = 0.0
         # V_eff with l(l+1) -> (l + 1/2)^2, for the WKB estimate
         self.langer = self.veff[1:] + 1.0 / (8.0 * mu * self.r[1:] ** 2)
+        self.phase_step = self.h * math.sqrt(2.0 * mu)
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
@@ -249,22 +278,33 @@ class _Shooter:
             self.g0 = 2.0
         else:
             self.g0 = 0.0
+        # for l >= 3 the Numerov factor 1 - l(l+1) / (12 i^2) + O(h^2) of
+        # the first mesh points is negative, and the recurrence would flip
+        # sign there, counting spurious nodes: the passes start at i0,
+        # past that region, from the small-r series (_series)
+        self.start = 1 if l < 3 else math.isqrt(l * (l + 1) // 12) + 2
 
-    def _u1(self, e: float) -> float:
-        # series start u ~ r^(l+1) (1 + c1 r + c2 r^2) restores O(h^4)
-        # for Coulomb-like potentials
-        h, l = self.h, self.l
-        c1 = self.mu * self.lau_a / (l + 1.0)
+    def _series(self, e: float, r: float) -> float:
+        # u ~ r^(l+1) (1 + c1 r + c2 r^2) near the origin restores O(h^4)
+        # for Coulomb-like potentials; returns the factor in brackets
+        c1 = self.mu * self.lau_a / (self.l + 1.0)
         c2 = (
-            self.mu * (self.lau_a * c1 + self.lau_b - e) / (2.0 * l + 3.0)
+            self.mu * (self.lau_a * c1 + self.lau_b - e) / (2.0 * self.l + 3.0)
         )
-        return h ** (l + 1) * (1.0 + h * (c1 + h * c2))
+        return 1.0 + r * (c1 + r * c2)
 
-    def _numerov_input(self, e: float) -> tuple[np.ndarray, float, float]:
-        """Numerov factors f, u at the first mesh point, and the f_0 u_0 stand-in."""
+    def _numerov_input(self, e: float) -> tuple[np.ndarray, float, float, int]:
+        """Arguments of a Numerov pass at e: f, u(i0), f u at i0 - 1, and i0."""
         f = 1.0 + (self.h * self.h * self.mu / 6.0) * (e - self.veff)
         f[0] = 1.0
-        return f, self._u1(e), -(self.h * self.h / 12.0) * self.g0
+        i0 = self.start
+        if i0 == 1:
+            u1 = self.h ** (self.l + 1) * self._series(e, self.h)
+            return f, u1, -(self.h * self.h / 12.0) * self.g0, 1
+        # u(i0) = 1; u(i0 - 1) from the same series
+        r0, r1 = float(self.r[i0 - 1]), float(self.r[i0])
+        u0 = ((i0 - 1.0) / i0) ** (self.l + 1) * self._series(e, r0) / self._series(e, r1)
+        return f, 1.0, float(f[i0 - 1]) * u0, i0
 
     def shoot(self, e: float) -> tuple[int, float]:
         return _sweep(*self._numerov_input(e))
@@ -356,17 +396,21 @@ class _Shooter:
         """Langer-WKB phase: integral of sqrt(2 mu (e - V_eff) - 1/(4 r^2)).
 
         The 1/(4 r^2) term is the Langer shift of l(l+1) to (l + 1/2)^2;
-        the integral runs over the allowed part of the box.
+        the integral runs over the allowed part of the box, by the
+        trapezoidal rule on the uniform mesh.
         """
-        ksq = 2.0 * self.mu * (e - self.langer)
-        return float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), self.r[1:]))
+        k = e - self.langer
+        np.maximum(k, 0.0, out=k)
+        np.sqrt(k, out=k)
+        return self.phase_step * (float(k.sum()) - 0.5 * float(k[0] + k[-1]))
 
     def wkb_level(self, n_r: int) -> float | None:
         """Langer-WKB level with n_r nodes from the box's potential samples.
 
-        Solves wkb_phase(E) = pi (n_r + 1/2) with no Numerov sweep.  None
-        when the box cannot hold the level below its edge value of the
-        Langer potential, or when that potential is not finite.
+        Solves wkb_phase(E) = pi (n_r + 1/2) with no Numerov sweep, to
+        _WKB_TOL.  None when the box cannot hold the level below its edge
+        value of the Langer potential, or when that potential is not
+        finite.
         """
         lo, hi = float(np.min(self.langer)), float(self.langer[-1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -376,7 +420,7 @@ class _Shooter:
         if f_hi < 0.0:
             return None
         return _brent(lambda e: self.wkb_phase(e) - target, lo, hi,
-                      rtol=1e-10, atol=1e-10 * (hi - lo), fb=f_hi)
+                      rtol=_WKB_TOL, atol=_WKB_TOL * (hi - lo), fb=f_hi)
 
     def holds(self, e: float) -> bool:
         """The box test: turning point within 60% of the box, tail action >= 15."""

@@ -169,6 +169,31 @@ class TestConfigErrors:
         assert err.startswith("config error: ")
         assert message in err
 
+    SCAN = ["scan", "--system", "confined", "--m", "1", "--omega", "0.5", "--g", "0.1",
+            "--n-sum", "0", "--l-sum", "0", "--axis", "N", "--grid", "2:8:7"]
+
+    @pytest.mark.parametrize("command", ["table1", "scan"])
+    def test_csv_into_a_missing_directory(self, capsys, monkeypatch, tmp_path, command):
+        # both ended in a FileNotFoundError traceback, and scan only after
+        # computing every row
+        def no_rows(*args):
+            raise AssertionError("rows computed for an unwritable CSV path")
+
+        monkeypatch.setattr(cli, "_scan_rows", no_rows)
+        monkeypatch.setattr(cli, "table1", no_rows)
+        argv = self.SCAN if command == "scan" else ["table1"]
+        target = tmp_path / "missing" / "x.csv"
+        assert cli.main([*argv, "--csv", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {target}: cannot write CSV")
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["table1", "scan"])
+    def test_csv_onto_a_directory(self, capsys, tmp_path, command):
+        argv = self.SCAN if command == "scan" else ["table1"]
+        assert cli.main([*argv, "--csv", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {tmp_path}: cannot write CSV")
+
     def test_unbound_baryon_is_a_domain_failure(self, capsys):
         argv = ["solve", "--system", "baryon", "--N", "1000", "--k", "1",
                 "--g", "0.01", "--q", "1498.5"]

@@ -276,6 +276,30 @@ class TestExactLevels:
         assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, 2), rel=1e-8)
 
 
+class TestHighOrbital:
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("l,n_r", [(10, 0), (12, 2), (20, 5)])
+    def test_fixed_box_coulomb_levels(self, l, n_r, a):
+        # the Numerov factor is negative at the first ~l / 3.5 mesh points;
+        # passes started at the origin counted each sign flip there as a
+        # node: (10, 0) found no bracket, the others returned a level
+        # with fewer nodes, 33-40 % off, without an error
+        level = radial_eigenvalue(0.5, _power_pair(-1.0, a), l=l, n_r=n_r,
+                                  rmax=4000.0, npoints=25000)
+        assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-9)
+
+    @pytest.mark.parametrize("l", [0, 2, 3, 10, 40])
+    def test_passes_start_past_the_negative_factors(self, l):
+        shooter = oracle._Shooter(0.5, COULOMB, l, 200.0, 25000, oracle._laurent_coeffs(COULOMB))
+        f, u_start, first_term, i0 = shooter._numerov_input(-0.25 / (l + 1) ** 2)
+        assert i0 == (1 if l < 3 else math.isqrt(l * (l + 1) // 12) + 2)
+        assert np.all(f[i0 - 1:i0 + 50] > 0.0)
+        if l >= 3:
+            assert u_start == 1.0 and 0.0 < first_term < f[i0 - 1]
+        if l >= 10:
+            assert np.any(f[1:i0 - 1] < 0.0)
+
+
 class TestWarmStart:
     @pytest.mark.parametrize("shift", [0.0, 1e-4, -0.05, 0.3])
     @pytest.mark.parametrize("potential,l,n_r", [(OSC, 1, 2), (COULOMB, 0, 1)])
@@ -381,6 +405,36 @@ class TestWkbStart:
         level = radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r)
         assert level == pytest.approx(-0.25 / (n_r + l + 1) ** 2, rel=1e-9)
 
+    def test_phase_evaluation_budget(self, monkeypatch):
+        # solving the estimate to 1e-10 took 53 phase integrals over the
+        # boxes of this level; it only seeds a bracket and gates a skip
+        calls = [0]
+        phase = oracle._Shooter.wkb_phase
+
+        def counted(self, e):
+            calls[0] += 1
+            return phase(self, e)
+
+        monkeypatch.setattr(oracle._Shooter, "wkb_phase", counted)
+        assert radial_eigenvalue(0.5, COULOMB, l=0, n_r=1) == pytest.approx(
+            -0.0625, abs=1e-9
+        )
+        assert calls[0] <= 46
+
+    @pytest.mark.parametrize("potential,l", [(COULOMB, 0), (COULOMB, 3), (OSC, 2)])
+    @pytest.mark.parametrize("fraction", [0.02, 0.3, 1.0])
+    def test_phase_is_the_trapezoidal_rule(self, potential, l, fraction):
+        # the phase sums the mesh directly; it must equal numpy's
+        # trapezoid over the clipped integrand, from a narrow allowed
+        # region to the whole Langer well of the box
+        box, n = _box(1)
+        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._laurent_coeffs(potential))
+        lo, hi = float(np.min(shooter.langer)), float(shooter.langer[-1])
+        e = lo + fraction * (hi - lo)
+        ksq = 2.0 * shooter.mu * (e - shooter.langer)
+        expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[1:]))
+        assert shooter.wkb_phase(e) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_weak_tail_without_a_level_stays_unbound(self):
         # no level and no estimate; the Langer term outweighs an r^-3
         # tail at the edge, so no box is skipped and the unbound rounds
@@ -485,3 +539,16 @@ class TestSweep:
             assert rescales > 1
         else:
             assert rescales == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("start", [3, 4, CHUNK + 5])
+    def test_passes_from_a_later_start(self, seed, start):
+        # as for l >= 3: first_term stands in for f u at start - 1, only
+        # the sign of that factor is read (negative at start 3), and the
+        # factors before it (negative at start 4) are not read at all
+        f = _mesh("negative_start", seed)
+        nodes, edge = oracle._sweep(f, 1e-3, 0.4, start)
+        ref_nodes, ref_edge, _ = _reference_sweep(f[start - 1:].tolist(), 1e-3, 0.4)
+        assert oracle._edge(f, 1e-3, 0.4, start) == edge
+        assert nodes == ref_nodes
+        assert edge == pytest.approx(ref_edge, rel=1e-9)
