@@ -22,7 +22,7 @@ from .dos import compute_phi, improved_energy_at
 from .errors import EtkitError
 from .et_core import energy
 from .model import QuantumNumbers, SystemSpec, nu_lambda
-from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, table1
+from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, confined_ground_shift, table1
 
 
 class ConfigError(Exception):
@@ -167,7 +167,7 @@ def _build_system(settings: dict[str, str]) -> tuple[SystemSpec, float]:
     spec = FAMILIES[name][1](params, n_body, dim)
     shift = 0.0
     if _to_bool("ground_shift", settings.get("ground_shift", "false")):
-        shift = 0.5 * dim * params.omega
+        shift = confined_ground_shift(params, dim)
     return spec, shift
 
 

@@ -19,16 +19,15 @@ the mesh step, and the box is grown until the classical turning point
 sits below 60% of it and the WKB tail suppression beyond that point is
 strong enough not to bias the eigenvalue.
 
-There are two Numerov passes with the same arithmetic.  The
-node-counting pass (_sweep) serves the bracket walk, the bisection and
-the final node check.  The edge-only pass (_edge) serves Brent: it runs
-on y = f u, where the recurrence needs no sign bookkeeping.  Both check
-for overflow once per chunk of steps instead of at every step, and
-both give the same edge value bit for bit.  For l >= 3 the Numerov
-factor of the first ~l / 3.5 mesh points is negative, whatever the
-step, and a recurrence through them flips sign at spurious nodes: both
-passes start at mesh point i0 = floor(sqrt(l(l+1) / 12)) + 2, past that
-region, from the small-r series of u.
+One Numerov driver (_numerov) runs every pass, on y = f u, and checks
+for overflow once per chunk of steps instead of at every step.  The
+node-counting pass serves the bracket walk, the bisection and the final
+node check.  The edge-only pass serves Brent; it differs only in
+skipping the node test, and gives the same edge value bit for bit.  For
+l >= 3 the Numerov factor of the first ~l / 3.5 mesh points is
+negative, whatever the step, and a recurrence through them flips sign at
+spurious nodes: every pass starts at mesh point i0 = floor(sqrt(l(l+1) /
+12)) + 2, past that region, from the small-r series of u.
 
 Until a level has been shot, each box first takes a Langer-WKB estimate
 of it from the potential samples it already holds, which costs no
@@ -77,7 +76,7 @@ _SKIP_MARGIN = 0.05
 # a thousandth of the smaller of the two leaves both as they were
 _WKB_TOL = 1e-3 * min(_SEED_SPAN, _SKIP_MARGIN)
 
-# steps of either Numerov pass between two overflow checks
+# Numerov steps between two overflow checks
 _CHUNK = 2048
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
@@ -114,13 +113,14 @@ def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[fl
     radii; exact for potentials that actually have this form, and a
     harmless ~0 for regular ones.
     """
-    t1 = eta * potential.value(eta)
-    t2 = (eta / 2.0) * potential.value(eta / 2.0)
+    v1, v2 = potential.value(eta), potential.value(eta / 2.0)
+    t1 = eta * v1
+    t2 = (eta / 2.0) * v2
     a = 2.0 * t2 - t1
     if abs(a) < 1e-10 * max(1.0, abs(t1)):
         a = 0.0
-    s1 = potential.value(eta) - (a / eta if a else 0.0)
-    s2 = potential.value(eta / 2.0) - (a / (eta / 2.0) if a else 0.0)
+    s1 = v1 - (a / eta if a else 0.0)
+    s2 = v2 - (a / (eta / 2.0) if a else 0.0)
     b = 2.0 * s2 - s1
     if not math.isfinite(b):
         b = 0.0
@@ -143,10 +143,10 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
     return v
 
 
-def _sweep(
-    f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1
+def _numerov(
+    f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1, count_nodes: bool = True
 ) -> tuple[int, float]:
-    """Node-counting Numerov pass; returns (interior node count, u at the box edge).
+    """One Numerov pass; returns (interior node count, u at the box edge).
 
     f holds the Numerov factors 1 + h^2 k^2 / 12 on the whole mesh.  The
     pass steps outward from mesh point start, where u is u1; first_term
@@ -154,91 +154,59 @@ def _sweep(
     1, f[0] = 1) that is f_0 u_0: u(0) = 0, but the product (V u)(r) can
     have a finite limit at the origin that the grid cannot represent.
 
-    The pass runs on v_i = |f_i| u_i, which has the sign of u_i and obeys
-    v_i = A_i v_(i-1) - B_i v_(i-2) with A_i = s_i (12 - 10 f_(i-1)) /
-    |f_(i-1)| and B_i = s_i s_(i-2), s = sign(f).  B_i is exactly 1
-    wherever f keeps its sign: a rounded ratio f_(i-2) / f_i in its
-    place would not telescope and shifts levels near zero by ~1e-11
-    relative.  f changes sign only under a steep potential, so the B
-    list stops at the last step where B_i is not 1.  numpy computes the
-    coefficients; the sequential loop runs in plain Python.  Past the B
-    list, overflow is checked once per chunk of _CHUNK steps, as in
-    _edge: a chunk that ends non-finite or above 1e250 is run again from
-    its start, with its node count, rescaling whenever |v| passes 1e250.
+    The pass runs on y_i = f_i u_i, for which Numerov reads y_i =
+    A_i y_(i-1) - y_(i-2) with A_i = (12 - 10 f_(i-1)) / f_(i-1), whatever
+    the sign of f.  numpy computes the A_i; the sequential loop runs in
+    plain Python.  Brent's method only needs the edge value, so its pass
+    (count_nodes false) skips the node test in that loop; the count it
+    returns is then meaningless.
 
-    _edge is the same recurrence without the node count, for Brent's
-    method, which only needs the edge value.
+    y has the sign of u wherever f > 0, so a sign change of y is a node.
+    f changes sign only under a steep potential; at such a step u changes
+    sign where y does not, or the other way round, so each one ends a
+    stretch of the pass and inverts the node test there.  An exact zero
+    counts as no node.  Within a stretch, overflow is checked once per
+    chunk of _CHUNK steps: a chunk that ends non-finite or above 1e250 is
+    run again from its start, with its node count, rescaling whenever |y|
+    passes 1e250.  Where u grows steadily, as past a turning point, a
+    chunk ends on its largest value, so the rescales fall on the same
+    steps as a per-step check would put them; a value that peaks above
+    1e250 and falls back within one chunk is left unscaled, which is still
+    finite and keeps every sign and zero.
     """
     f = f[start - 1:]
-    s = np.sign(f)
-    coeffs = memoryview(s[2:] * (12.0 - 10.0 * f[1:-1]) / np.abs(f[1:-1]))
-    b = s[2:] * s[:-2]
-    not_one = np.flatnonzero(b != 1.0)
-    mixed = int(not_one[-1]) + 1 if not_one.size else 0
+    coeffs = memoryview((12.0 - 10.0 * f[1:-1]) / f[1:-1])
+    flips = (f[2:] < 0.0) != (f[1:-1] < 0.0)
     # plain floats: a numpy scalar here would slow every step of the loop
-    v_prev = float(first_term) * float(s[0])
-    v_cur = abs(float(f[1])) * float(u1)
-    nodes = 0
-    for a_i, b_i in zip(coeffs[:mixed], b[:mixed].tolist()):
-        v_prev, v_cur = v_cur, a_i * v_cur - b_i * v_prev
-        if v_cur * v_prev < 0.0:
-            nodes += 1
-        if v_cur > 1e250 or v_cur < -1e250:
-            # rescale; the eigenvalue condition only uses signs and zeros
-            v_prev *= 1e-250
-            v_cur *= 1e-250
-    for first in range(mixed, len(coeffs), _CHUNK):
-        chunk = coeffs[first:first + _CHUNK]
-        p, c, k = v_prev, v_cur, nodes
-        for a_i in chunk:
-            p, c = c, a_i * c - p
-            if c * p < 0.0:
-                k += 1
-        if not -1e250 <= c <= 1e250:
-            p, c, k = v_prev, v_cur, nodes
-            for a_i in chunk:
-                p, c = c, a_i * c - p
-                if c * p < 0.0:
-                    k += 1
-                if c > 1e250 or c < -1e250:
-                    p *= 1e-250
-                    c *= 1e-250
-        v_prev, v_cur, nodes = p, c, k
-    return nodes, v_cur / abs(float(f[-1]))
-
-
-def _edge(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1) -> float:
-    """Edge-only Numerov pass: u at the box edge, as _sweep returns it.
-
-    The pass runs on y_i = f_i u_i, for which Numerov reads y_i =
-    A_i y_(i-1) - y_(i-2) with A_i = (12 - 10 f_(i-1)) / f_(i-1): B is 1
-    whatever the sign of f.  _sweep's v is sign(f) y, so both passes do
-    the same arithmetic up to exact sign flips and give the same edge
-    value bit for bit.  Overflow is checked once per chunk of _CHUNK
-    steps: a chunk that ends non-finite or above 1e250 is run again from
-    its start with the per-step rescaling.  Where u grows steadily, as
-    past a turning point, a chunk ends on its largest value, so the
-    rescales fall on the same steps as a per-step check would put them;
-    a value that peaks above 1e250 and falls back within one chunk is
-    left unscaled, which is still finite and keeps every sign and zero.
-    """
-    coeffs = memoryview((12.0 - 10.0 * f[start:-1]) / f[start:-1])
-    y_prev = float(first_term)
-    y_cur = float(f[start]) * float(u1)
-    for first in range(0, len(coeffs), _CHUNK):
-        chunk = coeffs[first:first + _CHUNK]
-        p, c = y_prev, y_cur
-        for a_i in chunk:
-            p, c = c, a_i * c - p
-        if not -1e250 <= c <= 1e250:
-            p, c = y_prev, y_cur
-            for a_i in chunk:
-                p, c = c, a_i * c - p
-                if c > 1e250 or c < -1e250:
-                    p *= 1e-250
-                    c *= 1e-250
-        y_prev, y_cur = p, c
-    return y_cur / float(f[-1])
+    y_prev, y_cur, nodes = float(first_term), float(f[1]) * float(u1), 0
+    first = 0
+    for end in [*(np.flatnonzero(flips) + 1).tolist(), len(coeffs)]:
+        for lo in range(first, end, _CHUNK):
+            chunk = coeffs[lo:min(lo + _CHUNK, end)]
+            p, c, k = y_prev, y_cur, nodes
+            if count_nodes:
+                for a_i in chunk:
+                    p, c = c, a_i * c - p
+                    if c * p < 0.0:
+                        k += 1
+            else:
+                for a_i in chunk:
+                    p, c = c, a_i * c - p
+            if not -1e250 <= c <= 1e250:
+                p, c, k = y_prev, y_cur, nodes
+                for a_i in chunk:
+                    p, c = c, a_i * c - p
+                    if c * p < 0.0:
+                        k += 1
+                    if c > 1e250 or c < -1e250:
+                        # the eigenvalue condition only uses signs and zeros
+                        p *= 1e-250
+                        c *= 1e-250
+            y_prev, y_cur, nodes = p, c, k
+        if first < end and flips[end - 1]:
+            nodes += (y_cur * y_prev > 0.0) - (y_cur * y_prev < 0.0)
+        first = end
+    return nodes, y_cur / float(f[-1])
 
 
 class _Shooter:
@@ -307,13 +275,10 @@ class _Shooter:
         return f, 1.0, float(f[i0 - 1]) * u0, i0
 
     def shoot(self, e: float) -> tuple[int, float]:
-        return _sweep(*self._numerov_input(e))
+        return _numerov(*self._numerov_input(e))
 
     def edge(self, e: float) -> float:
-        return _edge(*self._numerov_input(e))
-
-    def nodes(self, e: float) -> int:
-        return self.shoot(e)[0]
+        return _numerov(*self._numerov_input(e), count_nodes=False)[1]
 
     def _walk(
         self, e: float, step: float, target: Callable[[int], bool]
@@ -396,13 +361,19 @@ class _Shooter:
         """Langer-WKB phase: integral of sqrt(2 mu (e - V_eff) - 1/(4 r^2)).
 
         The 1/(4 r^2) term is the Langer shift of l(l+1) to (l + 1/2)^2;
-        the integral runs over the allowed part of the box, by the
-        trapezoidal rule on the uniform mesh.
+        the integral runs over the allowed part of the box.
         """
-        k = e - self.langer
-        np.maximum(k, 0.0, out=k)
-        np.sqrt(k, out=k)
-        return self.phase_step * (float(k.sum()) - 0.5 * float(k[0] + k[-1]))
+        return self._root_integral(e - self.langer)
+
+    def _root_integral(self, w: np.ndarray) -> float:
+        """Integral of sqrt(2 mu max(w, 0)) over the mesh points w samples.
+
+        w holds one value per point of a run of consecutive mesh points;
+        the trapezoidal rule on the uniform mesh, and w is overwritten.
+        """
+        np.maximum(w, 0.0, out=w)
+        np.sqrt(w, out=w)
+        return self.phase_step * (float(w.sum()) - 0.5 * float(w[0] + w[-1]))
 
     def wkb_level(self, n_r: int) -> float | None:
         """Langer-WKB level with n_r nodes from the box's potential samples.
@@ -423,9 +394,18 @@ class _Shooter:
                       rtol=_WKB_TOL, atol=_WKB_TOL * (hi - lo), fb=f_hi)
 
     def holds(self, e: float) -> bool:
-        """The box test: turning point within 60% of the box, tail action >= 15."""
-        return (self.turning_point(e) <= _TURNING_FRACTION * self.rmax
-                and self.tail_action(e) >= _MIN_TAIL_ACTION)
+        """The box test: turning point within 60% of the box, tail action >= 15.
+
+        The turning point is the outermost mesh point with V_eff <= e (the
+        origin if none), and the tail action is the WKB action integral
+        from there to the edge.  Inner forbidden regions (the centrifugal
+        barrier) do not count: they say nothing about how far the box cuts
+        into the tail.
+        """
+        allowed = np.flatnonzero(self.veff[1:] <= e)
+        i = int(allowed[-1]) + 1 if allowed.size else 0
+        return (float(self.r[i]) <= _TURNING_FRACTION * self.rmax
+                and self._root_integral(self.veff[max(i, 1):] - e) >= _MIN_TAIL_ACTION)
 
     def too_small(self, estimate: float | None, asym: float) -> bool:
         """Whether the box test must fail for the level WKB puts at estimate.
@@ -442,25 +422,6 @@ class _Shooter:
             return False
         low = top - _SKIP_MARGIN * min(asym - top, top - float(np.min(self.langer)))
         return not self.holds(low)
-
-    def _turning_index(self, e: float) -> int:
-        """Index of the outermost mesh point with V_eff <= e; 0 if none."""
-        allowed = np.flatnonzero(self.veff[1:] <= e)
-        return int(allowed[-1]) + 1 if allowed.size else 0
-
-    def turning_point(self, e: float) -> float:
-        return float(self.r[self._turning_index(e)])
-
-    def tail_action(self, e: float) -> float:
-        """WKB action integral from the outer turning point to the edge.
-
-        Inner forbidden regions (the centrifugal barrier) do not count:
-        they say nothing about how far the box cuts into the tail.
-        """
-        i = max(self._turning_index(e), 1)
-        ksq = 2.0 * self.mu * (self.veff[i:] - e)
-        kappa = np.sqrt(np.clip(ksq, 0.0, None))
-        return float(np.trapezoid(kappa, self.r[i:]))
 
 
 def radial_eigenvalue(
@@ -532,7 +493,7 @@ def radial_eigenvalue(
             f"box did not stabilise below rmax={box:.6g}; is the state bound?"
         )
 
-    nodes_below = shooter.nodes(e - 10.0 * etol * max(1.0, abs(e)))
+    nodes_below = shooter.shoot(e - 10.0 * etol * max(1.0, abs(e)))[0]
     if nodes_below != n_r:
         raise ConvergenceError(
             f"converged level has {nodes_below} nodes, expected {n_r}"

@@ -50,6 +50,7 @@ __all__ = [
     "confined_system",
     "confined_y",
     "confined_energy",
+    "confined_ground_shift",
     "confined_phi",
     "baryon_system",
     "baryon_energy",
@@ -309,17 +310,24 @@ def confined_y(p: ConfinedParams, N: int, z: float) -> float:
     )
 
 
+def confined_ground_shift(p: ConfinedParams, D: int = 3) -> float:
+    """The D omega/2 zero-point energy of the centre of mass.
+
+    It applies when the confinement acts on absolute coordinates rather
+    than on distances to the centre of mass.
+    """
+    return 0.5 * D * p.omega
+
+
 def confined_energy(
     p: ConfinedParams, N: int, q: float, ground_shift: bool = False, D: int = 3
 ) -> float:
     """Closed-form lower bound for the confined system.
 
-    ``ground_shift`` adds the D omega/2 zero-point energy of the centre
-    of mass, which applies when the confinement acts on absolute
-    coordinates rather than on distances to the centre of mass.
+    ``ground_shift`` adds confined_ground_shift(p, D).
     """
     require_finite_positive("q", q)
-    shift = 0.5 * D * p.omega if ground_shift else 0.0
+    shift = confined_ground_shift(p, D) if ground_shift else 0.0
     if p.g == 0.0:
         return p.omega * q + shift
     gm = quartic_root_g(QuarticSign.MINUS, confined_y(p, N, q))

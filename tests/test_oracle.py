@@ -22,6 +22,9 @@ COULOMB = InteractionTriple(
     lambda r: -1.0 / r, lambda r: 1.0 / r**2, lambda r: -2.0 / r**3, "-1/r"
 )
 LINEAR = InteractionTriple(lambda r: r, lambda r: 1.0, lambda r: 0.0, "r")
+SEXTIC = InteractionTriple(
+    lambda r: r**6, lambda r: 6.0 * r**5, lambda r: 30.0 * r**4, "r^6"
+)
 
 # first zero of the Airy function fixes the linear-potential ground state
 AIRY_GROUND = 2.3381074104597674
@@ -173,14 +176,13 @@ def _power_pair(b: float, a: float) -> InteractionTriple:
 
 def _wrap_passes(monkeypatch, record) -> None:
     """Call record(f) before every Numerov pass: node-counting and edge-only."""
-    for name in ("_sweep", "_edge"):
-        numerov_pass = getattr(oracle, name)
+    numerov_pass = oracle._numerov
 
-        def wrapped(f, *args, _pass=numerov_pass):
-            record(f)
-            return _pass(f, *args)
+    def wrapped(f, *args, **kwargs):
+        record(f)
+        return numerov_pass(f, *args, **kwargs)
 
-        monkeypatch.setattr(oracle, name, wrapped)
+    monkeypatch.setattr(oracle, "_numerov", wrapped)
 
 
 def _count_sweeps(monkeypatch) -> list[int]:
@@ -234,6 +236,21 @@ class TestSweepBudget:
             radial_eigenvalue(0.5, well, l=l, n_r=n_r)
         assert count[0] <= ceiling
 
+    def test_coulomb_potential_calls(self):
+        # two calls for the Laurent coefficients near the origin (four
+        # when each point was sampled twice), three asymptote probes and
+        # one array call for each of the five boxes
+        calls = [0]
+
+        def value(r):
+            calls[0] += 1
+            return COULOMB.value(r)
+
+        counted = InteractionTriple(value, COULOMB.d1, COULOMB.d2, "-1/r")
+        level = radial_eigenvalue(0.5, counted, l=0, n_r=1)
+        assert level == pytest.approx(-0.0625, abs=1e-9)
+        assert calls[0] <= 10
+
 
 # two-body levels (b, n_r, l) whose exact value is known: oscillator,
 # Coulomb and linear s-waves
@@ -266,6 +283,17 @@ class TestExactLevels:
         adaptive = radial_eigenvalue(0.5, pot, l=l, n_r=0)
         large = radial_eigenvalue(0.5, pot, l=l, n_r=0, rmax=40.0, npoints=16000)
         assert adaptive == pytest.approx(large, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "l,n_r,level",
+        [(0, 0, 1.5339262848777035), (0, 2, 10.35898916385178),
+         (1, 1, 7.520053503417539), (2, 2, 16.107581797833838)],
+    )
+    def test_sextic_levels(self, l, n_r, level):
+        # V = r^6 at mu = 2, whose boxes keep f > 0 on the whole mesh (at
+        # mu = 0.5 the first box does not: see TestSweep); pinned at the
+        # levels found when the node pass still ran on |f| u
+        assert radial_eigenvalue(2.0, SEXTIC, l=l, n_r=n_r) == pytest.approx(level, rel=1e-12)
 
     @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
     @pytest.mark.parametrize("n_r", [0, 1])
@@ -435,6 +463,22 @@ class TestWkbStart:
         expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[1:]))
         assert shooter.wkb_phase(e) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("potential,l", [(COULOMB, 0), (COULOMB, 3), (OSC, 2)])
+    @pytest.mark.parametrize("fraction", [0.02, 0.3, 0.9])
+    def test_tail_action_is_the_trapezoidal_rule(self, potential, l, fraction):
+        # the box test's tail action shares the phase's mesh sum; it must
+        # equal numpy's trapezoid over the clipped integrand from the
+        # outer turning point to the edge
+        box, n = _box(1)
+        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._laurent_coeffs(potential))
+        lo, hi = float(np.min(shooter.veff[1:])), float(shooter.veff[-1])
+        e = lo + fraction * (hi - lo)
+        i = int(np.flatnonzero(shooter.veff[1:] <= e)[-1]) + 1
+        ksq = 2.0 * shooter.mu * (shooter.veff[i:] - e)
+        expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[i:]))
+        action = shooter._root_integral(shooter.veff[i:] - e)
+        assert action == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_weak_tail_without_a_level_stays_unbound(self):
         # no level and no estimate; the Langer term outweighs an r^-3
         # tail at the edge, so no box is skipped and the unbound rounds
@@ -475,14 +519,15 @@ def _agree_up_to_rescale(x, ref, rel=1e-9):
 
 
 CHUNK = oracle._CHUNK
-# meshes for the two Numerov passes: mesh lengths around the chunk of
-# the edge-only pass, f < 0 where l >= 3 or a steep potential make it
-# so, and forbidden regions that grow past the 1e250 rescale
+# meshes for the two Numerov passes: mesh lengths around the overflow
+# chunk, f < 0 where l >= 3 or a steep potential make it so, and
+# forbidden regions that grow past the 1e250 rescale
 MESHES = {
     "short": 600,
     "chunk_multiple": 2 * CHUNK + 2,
     "plain": 2 * CHUNK + 777,
     "negative_start": 2 * CHUNK + 777,
+    "negative_band": 2 * CHUNK + 777,
     "negative_end": 2 * CHUNK + 777,
     "rescale_in_chunk": CHUNK + 700,
     "overflow_in_chunk": 2 * CHUNK + 777,
@@ -497,6 +542,9 @@ def _mesh(case, seed):
     f[0] = 1.0
     if case == "negative_start":
         f[1:3] = [-0.7, -0.2]
+    elif case == "negative_band":
+        # f turns negative before a chunk boundary and back after it
+        f[CHUNK - 20:CHUNK + 15] = -0.5
     elif case == "negative_end":
         f[-4:] = [-0.3, -1.5, -4.0, -9.0]
     elif case == "rescale_in_chunk":
@@ -519,7 +567,7 @@ class TestSweep:
         f[0] = 1.0
         if negative_start:
             f[1:3] = [-0.7, -0.2]
-        nodes, edge = oracle._sweep(f, 1e-3, 0.4)
+        nodes, edge = oracle._numerov(f, 1e-3, 0.4)
         ref_nodes, ref_edge, _ = _reference_sweep(f.tolist(), 1e-3, 0.4)
         assert nodes == ref_nodes
         assert edge == pytest.approx(ref_edge, rel=1e-9)
@@ -528,10 +576,10 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(MESHES))
     def test_both_passes_match_the_plain_recurrence(self, case, seed):
         f = _mesh(case, seed)
-        nodes, edge = oracle._sweep(f, 1e-3, 0.4)
+        nodes, edge = oracle._numerov(f, 1e-3, 0.4)
         ref_nodes, ref_edge, rescales = _reference_sweep(f.tolist(), 1e-3, 0.4)
-        # the edge-only pass does the same arithmetic up to exact sign flips
-        assert oracle._edge(f, 1e-3, 0.4) == edge
+        # the edge-only pass runs the same recurrence
+        assert oracle._numerov(f, 1e-3, 0.4, count_nodes=False)[1] == edge
         assert nodes == ref_nodes
         assert _agree_up_to_rescale(edge, ref_edge)
         expected = {"rescale_in_chunk": 1}.get(case, 0)
@@ -547,8 +595,23 @@ class TestSweep:
         # the sign of that factor is read (negative at start 3), and the
         # factors before it (negative at start 4) are not read at all
         f = _mesh("negative_start", seed)
-        nodes, edge = oracle._sweep(f, 1e-3, 0.4, start)
+        nodes, edge = oracle._numerov(f, 1e-3, 0.4, start)
         ref_nodes, ref_edge, _ = _reference_sweep(f[start - 1:].tolist(), 1e-3, 0.4)
-        assert oracle._edge(f, 1e-3, 0.4, start) == edge
+        assert oracle._numerov(f, 1e-3, 0.4, start, count_nodes=False)[1] == edge
         assert nodes == ref_nodes
         assert edge == pytest.approx(ref_edge, rel=1e-9)
+
+    @pytest.mark.parametrize("l", [0, 3])
+    @pytest.mark.parametrize("e", [1.0, 20.0, 300.0])
+    def test_node_pass_where_f_turns_negative_at_the_edge(self, l, e):
+        # V = r^6 in the first adaptive box at mu = 0.5: f < 0 over the
+        # last ~30 % of the mesh, so the pass inverts its node test where
+        # f changes sign, and the recurrence outgrows the rescale
+        shooter = oracle._Shooter(0.5, SEXTIC, l, *_box(0), oracle._laurent_coeffs(SEXTIC))
+        f, u_start, first_term, i0 = shooter._numerov_input(e)
+        assert f[i0] > 0.0 and f[-1] < 0.0
+        nodes, edge = oracle._numerov(f, u_start, first_term, i0)
+        ref_nodes, ref_edge, rescales = _reference_sweep(f[i0 - 1:].tolist(), u_start, first_term)
+        assert oracle._numerov(f, u_start, first_term, i0, count_nodes=False)[1] == edge
+        assert nodes == ref_nodes
+        assert _agree_up_to_rescale(edge, ref_edge) and rescales > 0
