@@ -18,15 +18,12 @@ from .errors import (
     NoBoundState,
     NoSolution,
     PhiUndefined,
-    ShapeError,
     UnboundRegime,
 )
 from .et_core import energy, solve_radius
 from .model import (
     Bound,
-    EtSolution,
     InteractionTriple,
-    PhiResult,
     QuantumNumbers,
     SystemSpec,
     global_q,
@@ -34,15 +31,13 @@ from .model import (
     q_phi,
 )
 from .oracle import radial_eigenvalue
-from .specfun import QuarticSign, beta, lambert_w0, quartic_root_g
+from .specfun import beta, lambert_w0, quartic_root_g
 from .systems import (
     BaryonParams,
     ConfinedParams,
     GaussianParams,
     PowerLaw1Params,
     PowerLaw2Params,
-    Table1Result,
-    Table1Row,
     baryon_energy,
     baryon_phi,
     baryon_system,
@@ -75,23 +70,17 @@ __all__ = [
     "ConvergenceError",
     "DegenerateSlope",
     "DomainError",
-    "EtSolution",
     "EtkitError",
     "GaussianParams",
     "InteractionTriple",
     "NegativeStiffness",
     "NoBoundState",
     "NoSolution",
-    "PhiResult",
     "PhiUndefined",
     "PowerLaw1Params",
     "PowerLaw2Params",
     "QuantumNumbers",
-    "QuarticSign",
-    "ShapeError",
     "SystemSpec",
-    "Table1Result",
-    "Table1Row",
     "UnboundRegime",
     "baryon_energy",
     "baryon_phi",

@@ -470,7 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--axis", required=True, choices=("N", "b", "lambda"),
                         help="swept parameter")
     p_scan.add_argument("--grid", required=True, metavar="START:STOP:COUNT",
-                        help="evenly spaced sweep values")
+                        help="evenly spaced sweep values; write --grid=START:... "
+                             "when START is negative")
     p_scan.add_argument("--csv", metavar="PATH", help="write CSV here instead of stdout")
 
     return parser

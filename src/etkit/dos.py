@@ -40,10 +40,16 @@ from .model import (
 __all__ = ["compute_phi", "improved_energy", "improved_energy_at"]
 
 
-def _radial_mode_terms(
-    spec: SystemSpec, lam: float, r0: float
-) -> tuple[float, float]:
-    """(mu, stiffness) of the vibration around the circular orbit at r0."""
+def _orbit_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float, float]:
+    """(a_sq, b_n, b_d) of the circular orbit at r0.
+
+    Each triple derivative is evaluated once.  a_sq is the squared
+    frequency of the radial vibration around the orbit, stiffness over
+    mass.  b_n and b_d are the numerator and denominator of the orbital
+    energy slope; b_d equals minus the radial derivative of the
+    stationarity mismatch, so it vanishes exactly when the optimum
+    radius is a degenerate (tangent) root.
+    """
     p0 = lam / r0
     t1 = spec.kinetic.d1(p0)
     if t1 <= 0.0:
@@ -52,31 +58,16 @@ def _radial_mode_terms(
         )
     t2 = spec.kinetic.d2(p0)
     root_c = math.sqrt(spec.pair_count)
-    mu = lam / (spec.N * r0 * t1)
-    stiffness = (
-        spec.N * lam / r0 ** 4 * (2.0 * r0 * t1 + lam * t2)
-        + spec.onebody.d2(r0 / spec.N) / spec.N
-        + spec.pairwise.d2(r0 / root_c)
-    )
-    # triples may compute in numpy scalars; results leave as plain floats
-    return float(mu), float(stiffness)
-
-
-def _slope_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float]:
-    """Numerator and denominator of the orbital energy slope at r0.
-
-    The denominator equals minus the radial derivative of the
-    stationarity mismatch, so it vanishes exactly when the optimum
-    radius is a degenerate (tangent) root.
-    """
-    p0 = lam / r0
-    t1 = spec.kinetic.d1(p0)
-    t2 = spec.kinetic.d2(p0)
-    root_c = math.sqrt(spec.pair_count)
     u1 = spec.onebody.d1(r0 / spec.N)
     u2 = spec.onebody.d2(r0 / spec.N)
     v1 = spec.pairwise.d1(r0 / root_c)
     v2 = spec.pairwise.d2(r0 / root_c)
+    mu = lam / (spec.N * r0 * t1)
+    stiffness = (
+        spec.N * lam / r0 ** 4 * (2.0 * r0 * t1 + lam * t2)
+        + u2 / spec.N
+        + v2
+    )
     b_n = (
         spec.N * lam / r0 * (2.0 * t1 + lam / r0 * t2) * (u1 + root_c * v1)
         + lam * t1 * (u2 + spec.N * v2)
@@ -89,7 +80,8 @@ def _slope_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float]
         + root_c * v1
         + r0 * v2
     )
-    return float(b_n), float(b_d)
+    # triples may compute in numpy scalars; results leave as plain floats
+    return float(stiffness) / float(mu), float(b_n), float(b_d)
 
 
 def compute_phi(spec: SystemSpec, lam) -> PhiResult:
@@ -108,14 +100,12 @@ def compute_phi(spec: SystemSpec, lam) -> PhiResult:
     if spec.precheck is not None:
         spec.precheck(lam)
     r0 = solve_radius(spec, lam)
-    mu, stiffness = _radial_mode_terms(spec, lam, r0)
-    a_sq = stiffness / mu
+    a_sq, b_n, b_d = _orbit_terms(spec, lam, r0)
     if a_sq < 0.0:
         raise NegativeStiffness(
             f"radial mode unstable for {spec.label} at lambda={lam:.6g}: "
             f"A^2 = {a_sq:.6g}"
         )
-    b_n, b_d = _slope_terms(spec, lam, r0)
     if b_d == 0.0:
         raise DegenerateSlope(
             f"slope denominator vanished for {spec.label} at lambda={lam:.6g}"

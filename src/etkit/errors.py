@@ -19,10 +19,6 @@ class DomainError(EtkitError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ShapeError(EtkitError, ValueError):
-    """Quantum-number lists do not have the N-1 entries the system requires."""
-
-
 class NoSolution(EtkitError, RuntimeError):
     """The radius equation has no root inside the search range."""
 

@@ -40,6 +40,8 @@ _EPS = float(np.finfo(float).eps)
 # |lhs - rhs| at the accepted root must not exceed this fraction of the
 # larger side of the stationarity equation
 _RESIDUAL_RTOL = 1e-10
+# Brent iterations before giving up
+_BRENT_MAXITER = 200
 
 
 def _sides(spec: SystemSpec, q: float, r: float) -> tuple[float, float]:
@@ -123,8 +125,8 @@ def _scan_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
 
 
 def _brent(
-    f, a: float, b: float, maxiter: int = 200, rtol: float = 2.0 * _EPS,
-    atol: float = 0.0, fa: float | None = None, fb: float | None = None,
+    f, a: float, b: float, rtol: float = 2.0 * _EPS, atol: float = 0.0,
+    fa: float | None = None, fb: float | None = None,
 ) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
@@ -143,7 +145,7 @@ def _brent(
         raise ValueError("f(a) and f(b) must have opposite signs")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -177,7 +179,7 @@ def _brent(
         a, fa = b, fb
         b += d if abs(d) > tol else math.copysign(tol, m)
         fb = f(b)
-    raise RuntimeError(f"no convergence in {maxiter} iterations")
+    raise RuntimeError(f"no convergence in {_BRENT_MAXITER} iterations")
 
 
 def _refine(spec: SystemSpec, q: float, lo: float, hi: float) -> float:
@@ -202,7 +204,7 @@ def _check_residual(spec: SystemSpec, q: float, r0: float) -> None:
 
 
 def _select(spec: SystemSpec, q: float, roots: list[float],
-            brackets_for_error: list[tuple[float, float]] | None = None) -> float:
+            brackets: list[tuple[float, float]]) -> float:
     if len(roots) == 1:
         return roots[0]
     # Several stationary points: a variational tag gives a principled
@@ -212,12 +214,11 @@ def _select(spec: SystemSpec, q: float, roots: list[float],
         return min(roots, key=lambda r: _energy_at(spec, q, r))
     if spec.bound is Bound.LOWER:
         return max(roots, key=lambda r: _energy_at(spec, q, r))
-    pairs = brackets_for_error or [(r, r) for r in roots]
     raise AmbiguousSolution(
         f"{len(roots)} stationary radii found for {spec.label} at q={q:.6g} "
         f"and no variational tag selects one: "
-        + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in pairs),
-        brackets=pairs,
+        + ", ".join(f"[{a:.6g}, {b:.6g}]" for a, b in brackets),
+        brackets=brackets,
     )
 
 

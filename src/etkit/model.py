@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import DomainError, ShapeError, require_finite_positive
+from .errors import DomainError, require_finite_positive
 
 __all__ = [
     "Bound",
@@ -64,9 +64,9 @@ class InteractionTriple:
     label: str = ""
 
     @staticmethod
-    def zero(label: str = "0") -> "InteractionTriple":
+    def zero() -> "InteractionTriple":
         return InteractionTriple(
-            value=lambda x: 0.0, d1=lambda x: 0.0, d2=lambda x: 0.0, label=label
+            value=lambda x: 0.0, d1=lambda x: 0.0, d2=lambda x: 0.0, label="0"
         )
 
 
@@ -107,61 +107,27 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class QuantumNumbers:
-    """Radial and orbital excitation numbers of the N-1 internal modes.
+    """Sums of the radial and orbital excitation numbers of the N-1 modes.
 
-    Either per-mode lists (length N-1, checked against the system) or
-    bare sums may be given; only the sums enter the collective
-    quantities.
+    Only the sums enter the collective quantities.
     """
 
     n_sum: int
     l_sum: int
-    radial: tuple[int, ...] | None = None
-    orbital: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name in ("n_sum", "l_sum"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise DomainError(f"{name} must be a non-negative integer, got {v!r}")
-        for name in ("radial", "orbital"):
-            modes = getattr(self, name)
-            if modes is None:
-                continue
-            if any((not isinstance(m, int)) or m < 0 for m in modes):
-                raise DomainError(f"{name} entries must be non-negative integers")
-        if self.radial is not None and sum(self.radial) != self.n_sum:
-            raise DomainError("radial list is inconsistent with n_sum")
-        if self.orbital is not None and sum(self.orbital) != self.l_sum:
-            raise DomainError("orbital list is inconsistent with l_sum")
-
-    @classmethod
-    def from_modes(
-        cls, radial: Sequence[int], orbital: Sequence[int]
-    ) -> "QuantumNumbers":
-        radial = tuple(radial)
-        orbital = tuple(orbital)
-        return cls(
-            n_sum=sum(radial), l_sum=sum(orbital), radial=radial, orbital=orbital
-        )
 
     @classmethod
     def from_sums(cls, n_sum: int, l_sum: int) -> "QuantumNumbers":
         return cls(n_sum=n_sum, l_sum=l_sum)
 
-    def _check_shape(self, spec: SystemSpec) -> None:
-        for name in ("radial", "orbital"):
-            modes = getattr(self, name)
-            if modes is not None and len(modes) != spec.N - 1:
-                raise ShapeError(
-                    f"{name} has {len(modes)} entries, system with N={spec.N} "
-                    f"has {spec.N - 1} internal modes"
-                )
-
 
 def global_q(qn: QuantumNumbers, spec: SystemSpec) -> Fraction:
     """Collective oscillator number Q = sum(2n_i + l_i) + (N-1) D/2."""
-    qn._check_shape(spec)
     return Fraction(2 * qn.n_sum + qn.l_sum) + Fraction((spec.N - 1) * spec.D, 2)
 
 
@@ -171,7 +137,6 @@ def nu_lambda(qn: QuantumNumbers, spec: SystemSpec) -> tuple[Fraction, Fraction]
     nu = sum n_i + (N-1)/2 and lambda = sum l_i + (N-1)(D-2)/2, so that
     Q = 2 nu + lambda holds identically.
     """
-    qn._check_shape(spec)
     nu = Fraction(qn.n_sum) + Fraction(spec.N - 1, 2)
     lam = Fraction(qn.l_sum) + Fraction((spec.N - 1) * (spec.D - 2), 2)
     return nu, lam

@@ -439,7 +439,9 @@ def radial_eigenvalue(
     bound state (NoBoundState otherwise).  rmax/npoints override the
     adaptive box and mesh, which the convergence tests use to measure
     the O(h^4) error scaling directly.  rmax, npoints and etol must be
-    positive and finite, npoints a whole number.
+    positive and finite, npoints a whole number.  On a fixed box, a mesh
+    whose Numerov factor is not positive at some point at the level
+    found raises DomainError.
     """
     require_finite_positive("reduced mass", mu)
     if l < 0 or n_r < 0:
@@ -484,6 +486,17 @@ def radial_eigenvalue(
             box *= 1.8
             continue
         if fixed_box:
+            # where the Numerov factor is not positive, u flips sign at
+            # every step and each flip reads as a node, so the count that
+            # identified this level cannot be trusted
+            steep = np.flatnonzero(shooter._numerov_input(e)[0][shooter.start:] <= 0.0)
+            if steep.size:
+                raise DomainError(
+                    f"the Numerov factor at E={e:.6g} is not positive at "
+                    f"{steep.size} mesh points, the first at "
+                    f"r={shooter.r[shooter.start + steep[0]]:.6g}: "
+                    f"npoints={n} is too few for rmax={box:.6g}"
+                )
             break
         if shooter.holds(e):
             break

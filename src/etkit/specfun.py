@@ -1,7 +1,7 @@
 """Scalar special functions used by the closed-form systems.
 
 Three functions live here: the principal branch of the Lambert W
-function, the positive root of the quartic 4x^4 +/- 8x = 3Y, and the
+function, the positive root of the quartic 4x^4 - 8x = 3Y, and the
 Euler beta function.  All of them are needed by analytic energy or phi
 formulas, and all are plain float -> float maps with explicit domain
 checks.
@@ -9,12 +9,11 @@ checks.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["QuarticSign", "lambert_w0", "quartic_root_g", "beta"]
+__all__ = ["lambert_w0", "quartic_root_g", "beta"]
 
 # branch point of the principal Lambert branch
 _BRANCH_POINT = -math.exp(-1.0)
@@ -79,13 +78,6 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-class QuarticSign(enum.Enum):
-    """Selects which quartic 4x^4 + sign*8x - 3Y = 0 is solved."""
-
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 def _cubic_v(y: float) -> float:
     """Unique positive root of V^3 + 3*Y*V - 4 = 0 for Y >= 0.
 
@@ -113,21 +105,17 @@ def _cubic_v(y: float) -> float:
     return 4.0 / (a * a + a * b + b * b)
 
 
-def _quartic_residual(sign: QuarticSign, x: float, y: float) -> float:
-    s = 8.0 if sign is QuarticSign.PLUS else -8.0
-    return 4.0 * x ** 4 + s * x - 3.0 * y
+def _quartic_residual(x: float, y: float) -> float:
+    return 4.0 * x ** 4 - 8.0 * x - 3.0 * y
 
 
-def _bisect_quartic(sign: QuarticSign, y: float) -> float:
+def _bisect_quartic(y: float) -> float:
     """Safeguard root finder, only used if the closed form misbehaves."""
-    if sign is QuarticSign.MINUS:
-        lo, hi = 2.0 ** (1.0 / 3.0) * 0.5, (0.75 * y) ** 0.25 + 2.0
-    else:
-        lo, hi = 0.0, max((0.75 * y) ** 0.25, 0.375 * y) + 1.0
-    flo = _quartic_residual(sign, lo, y)
+    lo, hi = 2.0 ** (1.0 / 3.0) * 0.5, (0.75 * y) ** 0.25 + 2.0
+    flo = _quartic_residual(lo, y)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = _quartic_residual(sign, mid, y)
+        fm = _quartic_residual(mid, y)
         if fm == 0.0:
             return mid
         if (fm < 0.0) == (flo < 0.0):
@@ -139,34 +127,24 @@ def _bisect_quartic(sign: QuarticSign, y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def quartic_root_g(sign: QuarticSign, y: float) -> float:
-    """The only positive root of 4x^4 + 8x = 3Y (plus) or 4x^4 - 8x = 3Y (minus).
+def quartic_root_g(y: float) -> float:
+    """The only positive root of 4x^4 - 8x = 3Y, for Y >= 0.
 
-    Defined for Y >= 0; the plus variant additionally needs Y > 0
-    because its root collapses to zero.  The closed form goes through
-    the resolvent cubic; a bisection fallback guards the rare case
-    where rounding pushes the residual out of tolerance.
+    The closed form goes through the resolvent cubic; a bisection
+    fallback guards the rare case where rounding pushes the residual out
+    of tolerance.
     """
     if not math.isfinite(y) or y < 0.0:
         raise DomainError(f"quartic_root_g needs Y >= 0, got {y!r}")
-    if sign is QuarticSign.PLUS and y == 0.0:
-        raise DomainError("quartic_root_g(plus, 0) has no positive root")
 
     v = _cubic_v(y)
     rv = math.sqrt(v)
-    w = math.sqrt(max(0.0, 4.0 / rv - v))
-    if sign is QuarticSign.MINUS:
-        x = 0.5 * (rv + w)
-    else:
-        # (w - rv)/2 rationalised with 4/rv - 2v = 6*y*rv/(2 + v*rv)
-        x = 3.0 * y * rv / ((2.0 + v * rv) * (w + rv))
+    x = 0.5 * (rv + math.sqrt(max(0.0, 4.0 / rv - v)))
 
-    if abs(_quartic_residual(sign, x, y)) > 1e-10 * max(1.0, y):
-        x = _bisect_quartic(sign, y)
-        if abs(_quartic_residual(sign, x, y)) > 1e-10 * max(1.0, y):
-            raise ConvergenceError(
-                f"quartic_root_g({sign.value}, {y!r}) did not reach tolerance"
-            )
+    if abs(_quartic_residual(x, y)) > 1e-10 * max(1.0, y):
+        x = _bisect_quartic(y)
+        if abs(_quartic_residual(x, y)) > 1e-10 * max(1.0, y):
+            raise ConvergenceError(f"quartic_root_g({y!r}) did not reach tolerance")
     return x
 
 

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, NoBoundState, UnboundRegime, require_finite_positive
-from .specfun import QuarticSign, beta, lambert_w0, quartic_root_g
+from .specfun import beta, lambert_w0, quartic_root_g
 from .model import Bound, InteractionTriple, QuantumNumbers, SystemSpec, nu_lambda, q_phi
 
 __all__ = [
@@ -319,24 +319,22 @@ def confined_ground_shift(p: ConfinedParams, D: int = 3) -> float:
     return 0.5 * D * p.omega
 
 
-def confined_energy(
-    p: ConfinedParams, N: int, q: float, ground_shift: bool = False, D: int = 3
-) -> float:
+def confined_energy(p: ConfinedParams, N: int, q: float) -> float:
     """Closed-form lower bound for the confined system.
 
-    ``ground_shift`` adds confined_ground_shift(p, D).
+    It leaves out the zero-point energy of the centre of mass; add
+    confined_ground_shift(p, D) where the trap acts on absolute
+    coordinates.
     """
     require_finite_positive("q", q)
-    shift = confined_ground_shift(p, D) if ground_shift else 0.0
     if p.g == 0.0:
-        return p.omega * q + shift
-    gm = quartic_root_g(QuarticSign.MINUS, confined_y(p, N, q))
-    e = (
+        return p.omega * q
+    gm = quartic_root_g(confined_y(p, N, q))
+    return (
         N ** (2.0 / 3.0) * (N - 1.0) / 2.0 ** (5.0 / 3.0)
         * (p.m * p.omega ** 2 * p.g ** 2) ** (1.0 / 3.0)
         * (gm * gm + 1.0 / gm)
     )
-    return e + shift
 
 
 def confined_phi(p: ConfinedParams, N: int, lam: float) -> float:
@@ -345,7 +343,7 @@ def confined_phi(p: ConfinedParams, N: int, lam: float) -> float:
     if p.g == 0.0:
         return 2.0
     y = confined_y(p, N, lam)
-    gm = quartic_root_g(QuarticSign.MINUS, y)
+    gm = quartic_root_g(y)
     return 2.0 * math.sqrt(2.0 * gm / y + 1.0)
 
 
@@ -515,14 +513,12 @@ TABLE1_EXACT: tuple[tuple[int, int, float], ...] = (
 )
 
 
-def table1(phi_mode: float | str = "dos", rows=None) -> Table1Result:
+def table1(phi_mode: float | str = "dos") -> Table1Result:
     """Baryon-table energies for a fixed phi or the orbital formula.
 
     phi_mode is either a positive number or the string "dos", in which
     case phi is recomputed from the closed-form slope at each state's
-    lambda.  ``rows`` restricts the (n_sum, l_sum) pairs; they must be
-    states of the embedded table since the comparison column comes from
-    it.
+    lambda.
     """
     if isinstance(phi_mode, str):
         if phi_mode != "dos":
@@ -530,18 +526,9 @@ def table1(phi_mode: float | str = "dos", rows=None) -> Table1Result:
     else:
         phi_mode = require_finite_positive("phi", phi_mode)
 
-    exact_by_state = {(n, l): e for n, l, e in TABLE1_EXACT}
-    if rows is None:
-        selected = [(n, l) for n, l, _ in TABLE1_EXACT]
-    else:
-        selected = [(int(n), int(l)) for n, l in rows]
-        unknown = [s for s in selected if s not in exact_by_state]
-        if unknown:
-            raise DomainError(f"states not in the reference table: {unknown}")
-
     spec = baryon_system(TABLE1_PARAMS, TABLE1_N, TABLE1_D)
     out = []
-    for n_sum, l_sum in selected:
+    for n_sum, l_sum, exact in TABLE1_EXACT:
         nu, lam = nu_lambda(QuantumNumbers.from_sums(n_sum, l_sum), spec)
         phi = (
             baryon_phi(TABLE1_PARAMS, TABLE1_N, float(lam))
@@ -549,12 +536,10 @@ def table1(phi_mode: float | str = "dos", rows=None) -> Table1Result:
             else phi_mode
         )
         e = baryon_energy(TABLE1_PARAMS, TABLE1_N, float(q_phi(nu, lam, phi)))
-        out.append(Table1Row(n_sum, l_sum, exact_by_state[(n_sum, l_sum)], e, phi))
+        out.append(Table1Row(n_sum, l_sum, exact, e, phi))
 
     def _mean_err(rs) -> float:
         rs = list(rs)
-        if not rs:
-            return math.nan
         return sum(abs(r.E - r.exact) / r.exact for r in rs) / len(rs)
 
     return Table1Result(

@@ -349,6 +349,26 @@ class TestScan:
         assert float(at_two["delta"]) == pytest.approx(0.0, abs=1e-9)
         assert float(at_two["c1"]) == pytest.approx(2.0, rel=1e-9)
 
+    def test_grid_below_zero_is_given_with_an_equals_sign(self):
+        # after "--grid " a value starting with "-" reads as an option
+        res = run_cli(
+            "scan",
+            "--system", "powerlaw2",
+            "--m", "1",
+            "--a", "1",
+            "--N", "2",
+            "--n-sum", "0",
+            "--l-sum", "1",
+            "--axis", "b",
+            "--grid=-1:-1:1",
+        )
+        assert res.returncode == 0
+        header, rows = csv_rows(res.stdout)
+        assert header == ["b", "E_phi2", "E_dos", "phi_dos"]
+        # the Coulomb weight is 1, which gives the exact 2p level
+        assert float(rows[0]["E_dos"]) == pytest.approx(-0.0625, rel=1e-12)
+        assert float(rows[0]["phi_dos"]) == pytest.approx(1.0, rel=1e-12)
+
     def test_pair_strength_scan_approaches_the_pure_linear_weight(self):
         res = run_cli(
             "scan",

@@ -32,7 +32,7 @@ from etkit import (
     powerlaw2_system,
     solve_radius,
 )
-from etkit.dos import _slope_terms
+from etkit.dos import _orbit_terms
 from etkit.errors import DegenerateSlope
 from etkit.et_core import _mismatch
 
@@ -124,7 +124,7 @@ class TestSlopeB:
         spec = powerlaw2_system(PowerLaw2Params(m=0.8, a=1.7, b=1.0), 3)
         lam = 1.3
         for r in (0.4, 1.0, 2.7):
-            _, b_d = _slope_terms(spec, lam, r)
+            _, _, b_d = _orbit_terms(spec, lam, r)
             h = 1e-6 * r
             dfdr = (_mismatch(spec, lam, r + h) - _mismatch(spec, lam, r - h)) / (2 * h)
             assert b_d == pytest.approx(-dfdr, rel=1e-6)
@@ -149,13 +149,13 @@ class TestSlopeB:
         pair = InteractionTriple(lambda r: -2.0 / (3.0 * r**3), lambda r: 2.0 / r**4,
                                  lambda r: -8.0 / r**5, "-2/(3 r^3)")
         spec = SystemSpec(N=2, D=3, kinetic=kin, onebody=one, pairwise=pair)
-        _, b_d = _slope_terms(spec, 1.0, 1.0)
+        _, _, b_d = _orbit_terms(spec, 1.0, 1.0)
         assert b_d == 0.0
 
     def test_degenerate_slope_is_reported(self, monkeypatch):
         import etkit.dos as dos_module
 
-        monkeypatch.setattr(dos_module, "_slope_terms", lambda *a: (1.0, 0.0))
+        monkeypatch.setattr(dos_module, "_orbit_terms", lambda *a: (1.0, 1.0, 0.0))
         with pytest.raises(DegenerateSlope):
             compute_phi(_harmonic(), 1.0)
 

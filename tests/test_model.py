@@ -13,7 +13,6 @@ from etkit import (
     GaussianParams,
     PowerLaw2Params,
     QuantumNumbers,
-    ShapeError,
     SystemSpec,
     gaussian_system,
     global_q,
@@ -61,18 +60,13 @@ class TestGlobalQ:
         assert global_q(qn, _harmonic(3)) == Fraction(3)
 
     def test_three_body_excited(self):
-        qn = QuantumNumbers.from_modes([1, 0], [0, 0])
+        qn = QuantumNumbers.from_sums(1, 0)
         assert global_q(qn, _harmonic(3)) == Fraction(5)
 
     def test_result_is_exact(self):
         q = global_q(QuantumNumbers.from_sums(2, 1), _harmonic(4, dim=5))
         assert isinstance(q, Fraction)
         assert q == Fraction(2 * 2 + 1) + Fraction(3 * 5, 2)
-
-    def test_mode_lists_must_match_system(self):
-        qn = QuantumNumbers.from_modes([0, 0, 0], [0, 0, 0])
-        with pytest.raises(ShapeError):
-            global_q(qn, _harmonic(2))
 
     def test_sums_skip_shape_check(self):
         qn = QuantumNumbers.from_sums(3, 4)
@@ -159,11 +153,7 @@ class TestQuantumNumbers:
         with pytest.raises(DomainError):
             QuantumNumbers.from_sums(-1, 0)
         with pytest.raises(DomainError):
-            QuantumNumbers.from_modes([0, -2], [0, 0])
-
-    def test_rejects_inconsistent_sums(self):
-        with pytest.raises(DomainError):
-            QuantumNumbers(n_sum=1, l_sum=0, radial=(0, 0), orbital=None)
+            QuantumNumbers.from_sums(0, -2)
 
     def test_rejects_non_integers(self):
         with pytest.raises(DomainError):

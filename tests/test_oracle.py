@@ -159,6 +159,22 @@ class TestValidation:
         with pytest.raises(DomainError):
             radial_eigenvalue(0.5, OSC, l=0, n_r=-1)
 
+    @pytest.mark.parametrize("n_r", [1, 2])
+    def test_rejects_a_fixed_mesh_too_coarse_for_the_level(self, n_r):
+        # V = r^6 at mu = 0.5 on rmax = 6 with 374 points: at the level the
+        # Numerov factor is negative only at the last point, r = 6, where u
+        # flips sign and the flip reads as a node; n_r = 1 and 2 returned
+        # the n_r = 0 and n_r = 1 levels, 4.33860 and 14.9352, without error
+        shooter = oracle._Shooter(0.5, SEXTIC, 0, 6.0, 374, oracle._laurent_coeffs(SEXTIC))
+        f = shooter._numerov_input(4.3385986777832315)[0]
+        assert np.flatnonzero(f <= 0.0).tolist() == [374]
+        with pytest.raises(DomainError):
+            radial_eigenvalue(0.5, SEXTIC, l=0, n_r=n_r, rmax=6.0, npoints=374)
+        # a finer mesh of the same box finds the level: the spectrum at
+        # mu = 0.5 is that at mu = 2 times 4^(3/4)
+        level = radial_eigenvalue(0.5, SEXTIC, l=0, n_r=1, rmax=6.0, npoints=1000)
+        assert level == pytest.approx(4.0 ** 0.75 * 5.280379863433776, rel=1e-6)
+
 
 class TestAgainstEnvelope:
     def test_quadratic_pair_is_reproduced_exactly(self):

@@ -7,15 +7,15 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkit import DomainError, QuarticSign, beta, lambert_w0, quartic_root_g
+from etkit import DomainError, beta, lambert_w0, quartic_root_g
 
 BRANCH = -math.exp(-1.0)
 
 
-def _bisect_quartic(sign: float, y: float) -> float:
-    # independent root of 4x^4 + sign 8x - 3y = 0 on x >= 0
+def _bisect_quartic(y: float) -> float:
+    # independent root of 4x^4 - 8x - 3y = 0 on x >= 0
     def f(x: float) -> float:
-        return 4.0 * x**4 + sign * 8.0 * x - 3.0 * y
+        return 4.0 * x**4 - 8.0 * x - 3.0 * y
 
     lo, hi = 0.0, 1.0
     while f(hi) < 0.0:
@@ -73,63 +73,44 @@ class TestLambertW0:
 
 
 class TestQuarticRoot:
-    # frozen from the bisection helper above; (1 + sqrt 3)/2 and
-    # (sqrt 3 - 1)/2 are the exact roots at y = 1
+    # frozen from the bisection helper above; (1 + sqrt 3)/2 is the
+    # exact root at y = 1
     FROZEN = [
-        (QuarticSign.MINUS, 1.0, 1.3660254037844386),
-        (QuarticSign.MINUS, 0.25, 1.2897374279105107),
-        (QuarticSign.MINUS, 4.0, 1.5747430738870216),
-        (QuarticSign.MINUS, 100.0, 3.0),
-        (QuarticSign.PLUS, 0.01, 0.0037499999011230568),
-        (QuarticSign.PLUS, 1.0, 0.3660254037844386),
-        (QuarticSign.PLUS, 9.0, 1.4082913338299892),
+        (1.0, 1.3660254037844386),
+        (0.25, 1.2897374279105107),
+        (4.0, 1.5747430738870216),
+        (100.0, 3.0),
     ]
 
-    @pytest.mark.parametrize("sign,y,expected", FROZEN)
-    def test_frozen_values(self, sign, y, expected):
-        assert quartic_root_g(sign, y) == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("y,expected", FROZEN)
+    def test_frozen_values(self, y, expected):
+        assert quartic_root_g(y) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_bisection_on_grid(self):
-        for sign in (QuarticSign.MINUS, QuarticSign.PLUS):
-            s = -1.0 if sign is QuarticSign.MINUS else 1.0
-            for y in [1e-8, 1e-4, 0.01, 0.3, 1.0, 7.0, 1e3, 1e8]:
-                ref = _bisect_quartic(s, y)
-                assert quartic_root_g(sign, y) == pytest.approx(ref, rel=1e-10)
+        for y in [1e-8, 1e-4, 0.01, 0.3, 1.0, 7.0, 1e3, 1e8]:
+            assert quartic_root_g(y) == pytest.approx(_bisect_quartic(y), rel=1e-10)
 
     def test_minus_at_zero(self):
-        assert quartic_root_g(QuarticSign.MINUS, 0.0) == pytest.approx(
-            2.0 ** (1.0 / 3.0), rel=1e-14
-        )
-
-    def test_plus_small_y_linear(self):
-        # 4x^4 + 8x = 3y gives x ~ 3y/8 for small y
-        y = 1e-10
-        assert quartic_root_g(QuarticSign.PLUS, y) == pytest.approx(
-            3.0 * y / 8.0, rel=1e-6
-        )
+        assert quartic_root_g(0.0) == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
 
     def test_residual_is_tiny(self):
         for y in [0.5, 2.0, 40.0]:
-            x = quartic_root_g(QuarticSign.MINUS, y)
+            x = quartic_root_g(y)
             assert 4.0 * x**4 - 8.0 * x - 3.0 * y == pytest.approx(0.0, abs=1e-9 * max(1.0, y))
 
     def test_monotone_in_y(self):
         grid = [0.1 * i for i in range(1, 60)]
-        minus = [quartic_root_g(QuarticSign.MINUS, y) for y in grid]
-        plus = [quartic_root_g(QuarticSign.PLUS, y) for y in grid]
-        assert all(b > a for a, b in zip(minus, minus[1:]))
-        assert all(b > a for a, b in zip(plus, plus[1:]))
+        roots = [quartic_root_g(y) for y in grid]
+        assert all(b > a for a, b in zip(roots, roots[1:]))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            quartic_root_g(QuarticSign.MINUS, -1.0)
-        with pytest.raises(DomainError):
-            quartic_root_g(QuarticSign.PLUS, 0.0)
+            quartic_root_g(-1.0)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=150)
     def test_root_property(self, y):
-        x = quartic_root_g(QuarticSign.MINUS, y)
+        x = quartic_root_g(y)
         assert x > 0.0
         assert 4.0 * x**4 - 8.0 * x == pytest.approx(3.0 * y, rel=1e-9, abs=1e-12)
 

@@ -13,7 +13,6 @@ from etkit import (
     NoBoundState,
     PowerLaw1Params,
     PowerLaw2Params,
-    QuarticSign,
     UnboundRegime,
     baryon_energy,
     baryon_phi,
@@ -38,6 +37,7 @@ from etkit import (
     quartic_root_g,
     table1,
 )
+from etkit.systems import confined_ground_shift
 
 # reference energies for the three-quark benchmark: columns are the
 # accurate numerical solution, then the estimate at phi = 2, at the
@@ -158,16 +158,16 @@ class TestConfined:
     def test_pure_oscillator_limit(self):
         params = ConfinedParams(m=1.0, omega=1.5, g=0.0)
         assert confined_energy(params, 3, 4.0) == pytest.approx(6.0, rel=1e-12)
-        assert confined_energy(params, 3, 4.0, ground_shift=True) == pytest.approx(
-            6.0 + 2.25, rel=1e-12
-        )
+        assert confined_energy(params, 3, 4.0) + confined_ground_shift(
+            params, 3
+        ) == pytest.approx(6.0 + 2.25, rel=1e-12)
         assert confined_phi(params, 3, 2.0) == 2.0
 
     def test_ground_shift_is_d_omega_over_two(self):
         params = ConfinedParams(m=1.0, omega=0.5, g=0.0)
         for dim in (2, 3, 4):
-            assert confined_energy(
-                params, 2, 1.0, ground_shift=True, D=dim
+            assert confined_energy(params, 2, 1.0) + confined_ground_shift(
+                params, dim
             ) == pytest.approx(0.5 + 0.25 * dim, rel=1e-12)
 
     def test_pure_oscillator_matches_solver(self):
@@ -199,7 +199,7 @@ class TestConfined:
         params = ConfinedParams(m=1.0, omega=1.0, g=0.5)
         lam = 1.5
         y = confined_y(params, 2, lam)
-        g_minus = quartic_root_g(QuarticSign.MINUS, y)
+        g_minus = quartic_root_g(y)
         assert confined_phi(params, 2, lam) == pytest.approx(
             2.0 * math.sqrt(2.0 * g_minus / y + 1.0), rel=1e-12
         )
@@ -372,14 +372,6 @@ class TestBenchmarkTable:
         rows = table1(phi_mode=1.35).rows
         ground = next(r for r in rows if (r.n_sum, r.l_sum) == (0, 0))
         assert ground.E == pytest.approx(ground.exact, abs=1e-3)
-
-    def test_row_subset(self):
-        result = table1(phi_mode="dos", rows=[(0, 0), (0, 6)])
-        assert [(r.n_sum, r.l_sum) for r in result.rows] == [(0, 0), (0, 6)]
-
-    def test_unknown_row_rejected(self):
-        with pytest.raises(DomainError):
-            table1(rows=[(9, 9)])
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
