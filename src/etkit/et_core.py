@@ -36,6 +36,9 @@ _GRID = np.geomspace(
 )
 _GRID_POINTS = _GRID.tolist()
 _EPS = float(np.finfo(float).eps)
+# _rhs on the grid for the last spec object scanned, as one (spec, values)
+# pair so that a concurrent reader sees both halves of the same write
+_grid_rhs: tuple[SystemSpec | None, np.ndarray | None] = (None, None)
 
 # |lhs - rhs| at the accepted root must not exceed this fraction of the
 # larger side of the stationarity equation
@@ -44,21 +47,20 @@ _RESIDUAL_RTOL = 1e-10
 _BRENT_MAXITER = 200
 
 
-def _sides(spec: SystemSpec, q: float, r: float) -> tuple[float, float]:
-    """Left and right side of the stationarity equation at radius r.
-
-    r may be a float or a numpy array of radii.
-    """
+def _lhs(spec: SystemSpec, q: float, r: float) -> float:
+    """Left side of the stationarity equation; r may be a numpy array."""
     p = q / r
+    return spec.N * p * spec.kinetic.d1(p)
+
+
+def _rhs(spec: SystemSpec, r: float) -> float:
+    """Right side of the stationarity equation, which does not depend on q."""
     root_c = math.sqrt(spec.pair_count)
-    lhs = spec.N * p * spec.kinetic.d1(p)
-    rhs = r * spec.onebody.d1(r / spec.N) + root_c * r * spec.pairwise.d1(r / root_c)
-    return lhs, rhs
+    return r * spec.onebody.d1(r / spec.N) + root_c * r * spec.pairwise.d1(r / root_c)
 
 
 def _mismatch(spec: SystemSpec, q: float, r: float) -> float:
-    lhs, rhs = _sides(spec, q, r)
-    return lhs - rhs
+    return _lhs(spec, q, r) - _rhs(spec, r)
 
 
 def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
@@ -88,12 +90,19 @@ def _mismatch_pointwise(spec: SystemSpec, q: float) -> np.ndarray:
 def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
     """Mismatch on the scan grid, in one array call where the triples allow.
 
-    Triples that reject arrays, or do not return one number per grid
-    point, are evaluated point by point instead.
+    The q-independent right side is reused while the same spec object is
+    scanned again.  Triples that reject arrays, or do not return one
+    number per grid point, are evaluated point by point instead.
     """
+    global _grid_rhs
     try:
         with np.errstate(all="ignore"):
-            f = np.asarray(_mismatch(spec, q, _GRID), dtype=float)
+            cached, rhs = _grid_rhs
+            if cached is not spec:
+                rhs = _rhs(spec, _GRID)
+                if isinstance(rhs, np.ndarray) and rhs.shape == _GRID.shape:
+                    _grid_rhs = (spec, rhs)
+            f = np.asarray(_lhs(spec, q, _GRID) - rhs, dtype=float)
     except (TypeError, ValueError, ArithmeticError):
         return _mismatch_pointwise(spec, q)
     if f.shape != _GRID.shape:
@@ -101,27 +110,24 @@ def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
     return f
 
 
-def _brackets(f: np.ndarray) -> list[tuple[float, float]]:
-    """Grid intervals on which the mismatch values f change sign.
+def _brackets(f: np.ndarray) -> list[tuple[float, float, float, float]]:
+    """Grid intervals (lo, hi, f(lo), f(hi)) on which the values f change sign.
 
-    A grid point where f is exactly zero is its own bracket; a
+    A grid point where f is exactly zero is its own bracket; a sign
+    change counts only between two nonzero finite values, so a
     non-finite value breaks any bracket across it.
     """
-    finite = np.isfinite(f)
-    zero = finite & (f == 0.0)
     neg = f < 0.0
-    change = np.zeros_like(finite)
-    change[1:] = finite[1:] & finite[:-1] & ~zero[1:] & (neg[1:] != neg[:-1])
-    return [
-        (_GRID_POINTS[i], _GRID_POINTS[i]) if zero[i]
-        else (_GRID_POINTS[i - 1], _GRID_POINTS[i])
-        for i in np.flatnonzero(zero | change)
-    ]
-
-
-def _scan_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
-    """Sign-change intervals of the stationarity mismatch on a log grid."""
-    return _brackets(_mismatch_on_grid(spec, q))
+    candidate = f == 0.0
+    candidate[1:] |= neg[1:] != neg[:-1]
+    found = []
+    for i in candidate.nonzero()[0].tolist():
+        hi, f_hi = _GRID_POINTS[i], f.item(i)
+        if f_hi == 0.0:
+            found.append((hi, hi, f_hi, f_hi))
+        elif (f_lo := f.item(i - 1)) != 0.0 and math.isfinite(f_lo) and math.isfinite(f_hi):
+            found.append((_GRID_POINTS[i - 1], hi, f_lo, f_hi))
+    return found
 
 
 def _brent(
@@ -182,11 +188,12 @@ def _brent(
     raise RuntimeError(f"no convergence in {_BRENT_MAXITER} iterations")
 
 
-def _refine(spec: SystemSpec, q: float, lo: float, hi: float) -> float:
+def _refine(spec: SystemSpec, q: float, lo: float, hi: float,
+            f_lo: float, f_hi: float) -> float:
     if lo == hi:
         return lo
     try:
-        return float(_brent(lambda r: _mismatch(spec, q, r), lo, hi))
+        return float(_brent(lambda r: _mismatch(spec, q, r), lo, hi, fa=f_lo, fb=f_hi))
     except (RuntimeError, ValueError) as exc:
         raise ConvergenceError(
             f"root refinement failed on [{lo:.6g}, {hi:.6g}]: {exc}"
@@ -194,7 +201,7 @@ def _refine(spec: SystemSpec, q: float, lo: float, hi: float) -> float:
 
 
 def _check_residual(spec: SystemSpec, q: float, r0: float) -> None:
-    lhs, rhs = _sides(spec, q, r0)
+    lhs, rhs = _lhs(spec, q, r0), _rhs(spec, r0)
     scale = max(abs(lhs), abs(rhs), 1e-300)
     if abs(lhs - rhs) > _RESIDUAL_RTOL * scale:
         raise ConvergenceError(
@@ -232,16 +239,16 @@ def solve_radius(spec: SystemSpec, q) -> float:
     q = float(q)
     if not math.isfinite(q) or q <= 0.0:
         raise NoSolution(f"collective number must be positive, got {q!r}")
-    brackets = _scan_brackets(spec, q)
-    if not brackets:
+    found = _brackets(_mismatch_on_grid(spec, q))
+    if not found:
         raise NoSolution(
             f"no stationary radius in [{BRACKET_LO:g}, {BRACKET_HI:g}] for "
             f"{spec.label} at q={q:.6g}; the system may not bind at this q"
         )
-    roots = [_refine(spec, q, lo, hi) for lo, hi in brackets]
+    roots = [_refine(spec, q, *bracket) for bracket in found]
     for r0 in roots:
         _check_residual(spec, q, r0)
-    return _select(spec, q, roots, brackets)
+    return _select(spec, q, roots, [(lo, hi) for lo, hi, _, _ in found])
 
 
 def energy(spec: SystemSpec, q) -> EtSolution:

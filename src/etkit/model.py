@@ -55,7 +55,10 @@ class InteractionTriple:
     the array call raises or returns the wrong shape, the scan falls back
     to one call per point, which is much slower.  A callable must not
     reduce its argument (``np.mean``, ``float(x)`` of a size-1 result),
-    since that cannot be told apart from a correct array result.
+    since that cannot be told apart from a correct array result.  The
+    scan evaluates the one-body and pair derivatives on its grid once per
+    ``SystemSpec`` object and reuses them for later solves on the same
+    object, so the callables must be pure functions of their argument.
     """
 
     value: Callable[[float], float]

@@ -183,10 +183,18 @@ def _loop_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
             continue
         if f == 0.0:
             brackets.append((float(r), float(r)))
-        elif prev_f is not None and (f < 0.0) != (prev_f < 0.0):
+        elif prev_f is not None and prev_f != 0.0 and (f < 0.0) != (prev_f < 0.0):
             brackets.append((prev_r, float(r)))
         prev_r, prev_f = float(r), f
     return brackets
+
+
+def _cells(f: np.ndarray) -> list[tuple[float, float]]:
+    return [(lo, hi) for lo, hi, _, _ in et_core._brackets(f)]
+
+
+def _scan(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
+    return _cells(et_core._mismatch_on_grid(spec, q))
 
 
 _FAMILIES = {
@@ -219,8 +227,8 @@ class TestBracketScan:
     def test_array_scan_matches_point_by_point(self, family):
         for spec in _FAMILIES[family]:
             for q in _Q_GRID:
-                assert et_core._scan_brackets(spec, q) == _loop_brackets(spec, q)
-                pointwise = et_core._brackets(et_core._mismatch_pointwise(spec, q))
+                assert _scan(spec, q) == _loop_brackets(spec, q)
+                pointwise = _cells(et_core._mismatch_pointwise(spec, q))
                 assert pointwise == _loop_brackets(spec, q)
 
     def test_non_finite_points_break_brackets(self):
@@ -233,7 +241,7 @@ class TestBracketScan:
         flat = InteractionTriple(value=lambda p: 0.0, d1=lambda p: 0.0, d2=lambda p: 0.0)
         pair = InteractionTriple(value=lambda r: 0.0, d1=d1, d2=lambda r: 0.0)
         spec = SystemSpec(N=2, D=3, kinetic=flat, pairwise=pair)
-        brackets = et_core._scan_brackets(spec, 1.0)
+        brackets = _scan(spec, 1.0)
         assert brackets == _loop_brackets(spec, 1.0)
         assert not any(lo < 1.0 < hi for lo, hi in brackets)
         # sin(2 ln r) vanishes at ln r = k pi / 2 for 1 <= |k| <= 8
@@ -253,8 +261,9 @@ class TestBracketScan:
         spec = dataclasses.replace(builtin, pairwise=pair)
         with pytest.raises(TypeError):
             et_core._mismatch(spec, 1.5, np.array([1.0, 2.0]))
-        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
-        assert et_core._scan_brackets(spec, 1.5) == et_core._scan_brackets(builtin, 1.5)
+        assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert et_core._grid_rhs[0] is not spec
+        assert _scan(spec, 1.5) == _scan(builtin, 1.5)
         assert energy(spec, 1.5).E == pytest.approx(
             gaussian_energy(params, 2, 1.5), rel=1e-10
         )
@@ -266,7 +275,7 @@ class TestBracketScan:
 
         linear = InteractionTriple(value=lambda r: r, d1=d1, d2=lambda r: 0.0)
         spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=linear)
-        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
         # T = p^2/2, V = r: r0 = (2 q^2)^(1/3) for N = 2
         assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** (1 / 3), rel=1e-12)
 
@@ -281,6 +290,17 @@ class TestBracketScan:
         # E = 2 sqrt(k N q) at g = 0
         assert energy(spec, 2.0).E == pytest.approx(2.0 * math.sqrt(0.2 * 3 * 2.0), rel=1e-12)
 
+    def test_grid_point_root_is_found_once(self):
+        # T = p^2/2, U = 2 s^2, N = 2: at q = 1 the mismatch 2/r^2 - 2 r^2
+        # is exactly zero on the grid point r = 1 and negative after it
+        kin = InteractionTriple(value=lambda p: 0.5 * p * p, d1=lambda p: p,
+                                d2=lambda p: 1.0)
+        one = InteractionTriple(value=lambda s: 2.0 * s * s, d1=lambda s: 4.0 * s,
+                                d2=lambda s: 4.0)
+        spec = SystemSpec(N=2, D=3, kinetic=kin, onebody=one)
+        assert _scan(spec, 1.0) == _loop_brackets(spec, 1.0) == [(1.0, 1.0)]
+        assert solve_radius(spec, 1.0) == 1.0
+
     def test_wrong_shape_falls_back(self):
         # V = r^2/2 whose d1 turns an array argument into a column, so the
         # array mismatch comes back as a matrix
@@ -291,8 +311,64 @@ class TestBracketScan:
         )
         spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
         assert np.shape(et_core._mismatch(spec, 1.5, et_core._GRID)) == (961, 961)
-        assert et_core._scan_brackets(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
+        assert et_core._grid_rhs[0] is not spec
+        cached = et_core._grid_rhs[1]
+        assert cached is None or cached.shape == (961,)
         assert energy(spec, 1.5).E == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
+
+
+class TestGridRhsReuse:
+    """The q-independent right side is evaluated once per spec object."""
+
+    @staticmethod
+    def _fresh(spec: SystemSpec, q: float) -> np.ndarray:
+        # the mismatch in one uncached array call; scalar calls of the
+        # power laws may differ from it in the last bit
+        with np.errstate(all="ignore"):
+            return np.asarray(et_core._mismatch(spec, q, et_core._GRID), dtype=float)
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_miss_and_hit_match_a_fresh_array_call(self, family, monkeypatch):
+        monkeypatch.setattr(et_core, "_grid_rhs", (None, None))
+        for spec in _FAMILIES[family]:
+            assert et_core._grid_rhs[0] is not spec
+            np.testing.assert_array_equal(
+                et_core._mismatch_on_grid(spec, 1.5), self._fresh(spec, 1.5)
+            )
+            cached = et_core._grid_rhs
+            assert cached[0] is spec
+            np.testing.assert_array_equal(
+                et_core._mismatch_on_grid(spec, 40.0), self._fresh(spec, 40.0)
+            )
+            assert et_core._grid_rhs is cached
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_alternating_specs_give_fresh_values(self, family):
+        a, b = _FAMILIES[family][0], _FAMILIES[family][-1]
+        for spec, q in ((a, 1.5), (b, 1.5), (a, 7.0)):
+            np.testing.assert_array_equal(
+                et_core._mismatch_on_grid(spec, q), self._fresh(spec, q)
+            )
+
+    def test_brent_starts_from_the_scan_values(self):
+        # for N = 2 the pair derivative is called at the radius itself, so
+        # its scalar calls show every point Brent evaluates
+        base = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2)
+        radii = []
+
+        def d1(r):
+            if np.ndim(r) == 0:
+                radii.append(r)
+            return base.pairwise.d1(r)
+
+        spec = dataclasses.replace(base, pairwise=dataclasses.replace(base.pairwise, d1=d1))
+        f = et_core._mismatch_on_grid(spec, 1.5)
+        [(lo, hi, f_lo, f_hi)] = et_core._brackets(f)
+        index = et_core._GRID_POINTS.index
+        assert (f_lo, f_hi) == (f[index(lo)], f[index(hi)])
+        solve_radius(spec, 1.5)
+        assert radii and lo not in radii and hi not in radii
 
 
 class TestBrent:
