@@ -15,6 +15,7 @@ root-finding problem in r0, which is what this module solves.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -73,15 +74,15 @@ def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
     )
 
 
-def _mismatch_pointwise(spec: SystemSpec, q: float) -> np.ndarray:
-    """Mismatch on the scan grid, one scalar call per point.
+def _pointwise(fn: Callable[[float], float], points: list[float]) -> np.ndarray:
+    """fn at each of points, one scalar call per point.
 
-    Points where a triple raises an arithmetic error read as NaN.
+    Points where fn raises an arithmetic error read as NaN.
     """
-    out = np.empty(_GRID.size)
-    for i, r in enumerate(_GRID_POINTS):
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
         try:
-            out[i] = _mismatch(spec, q, r)
+            out[i] = fn(x)
         except (OverflowError, ValueError, ZeroDivisionError):
             out[i] = math.nan
     return out
@@ -104,9 +105,9 @@ def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
                     _grid_rhs = (spec, rhs)
             f = np.asarray(_lhs(spec, q, _GRID) - rhs, dtype=float)
     except (TypeError, ValueError, ArithmeticError):
-        return _mismatch_pointwise(spec, q)
+        return _pointwise(lambda r: _mismatch(spec, q, r), _GRID_POINTS)
     if f.shape != _GRID.shape:
-        return _mismatch_pointwise(spec, q)
+        return _pointwise(lambda r: _mismatch(spec, q, r), _GRID_POINTS)
     return f
 
 

@@ -52,10 +52,13 @@ class InteractionTriple:
     radii or momenta, so write them with ``np.*`` functions and
     element-wise arithmetic; a constant return value is fine.  Callables
     that only take scalars (``math.exp``, ``if x > 0``) still work: when
-    the array call raises or returns the wrong shape, the scan falls back
-    to one call per point, which is much slower.  A callable must not
-    reduce its argument (``np.mean``, ``float(x)`` of a size-1 result),
-    since that cannot be told apart from a correct array result.  The
+    the array call raises or returns the wrong shape, the scan and the
+    oracle fall back to one call per point, which is much slower, and
+    read a point where the call raises an arithmetic error as NaN; the
+    scan skips NaN points, and the oracle rejects a potential that is not
+    finite at a mesh point with DomainError.  A callable must not reduce
+    its argument (``np.mean``, ``float(x)`` of a size-1 result), since
+    that cannot be told apart from a correct array result.  The
     scan evaluates the one-body and pair derivatives on its grid once per
     ``SystemSpec`` object and reuses them for later solves on the same
     object, so the callables must be pure functions of their argument.

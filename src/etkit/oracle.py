@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoBoundState, require_finite_positive
-from .et_core import _brent
+from .et_core import _brent, _pointwise
 from .model import InteractionTriple
 
 __all__ = ["radial_eigenvalue"]
@@ -78,6 +78,8 @@ _WKB_TOL = 1e-3 * min(_SEED_SPAN, _SKIP_MARGIN)
 
 # Numerov steps between two overflow checks
 _CHUNK = 2048
+# tolerance of a level: relative above |E| = 1, absolute below
+_ETOL = 1e-13
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
 _Shot = tuple[float, int, float]
@@ -131,7 +133,8 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
     """V on the mesh radii, in one array call where the triple allows.
 
     Triples that reject arrays, or do not return one number per radius,
-    are evaluated point by point instead.
+    are evaluated point by point instead, where a radius at which the
+    callable raises an arithmetic error reads as NaN.
     """
     try:
         with np.errstate(all="ignore"):
@@ -139,7 +142,7 @@ def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError, ArithmeticError):
         v = None
     if v is None or v.shape != r.shape:
-        v = np.array([potential.value(float(x)) for x in r])
+        v = _pointwise(potential.value, r.tolist())
     return v
 
 
@@ -161,51 +164,43 @@ def _numerov(
     (count_nodes false) skips the node test in that loop; the count it
     returns is then meaningless.
 
-    y has the sign of u wherever f > 0, so a sign change of y is a node.
-    f changes sign only under a steep potential; at such a step u changes
-    sign where y does not, or the other way round, so each one ends a
-    stretch of the pass and inverts the node test there.  An exact zero
-    counts as no node.  Within a stretch, overflow is checked once per
-    chunk of _CHUNK steps: a chunk that ends non-finite or above 1e250 is
-    run again from its start, with its node count, rescaling whenever |y|
-    passes 1e250.  Where u grows steadily, as past a turning point, a
-    chunk ends on its largest value, so the rescales fall on the same
-    steps as a per-step check would put them; a value that peaks above
-    1e250 and falls back within one chunk is left unscaled, which is still
-    finite and keeps every sign and zero.
+    A node is a sign change of y, which has the sign of u wherever f > 0;
+    where f <= 0 no count can be trusted, which radial_eigenvalue checks
+    on a fixed mesh.  An exact zero counts as no node.  Overflow is
+    checked once per chunk of _CHUNK steps: a chunk that ends non-finite
+    or above 1e250 is run again from its start, with its node count,
+    rescaling whenever |y| passes 1e250.  Where u grows steadily, as past
+    a turning point, a chunk ends on its largest value, so the rescales
+    fall on the same steps as a per-step check would put them; a value
+    that peaks above 1e250 and falls back within one chunk is left
+    unscaled, which is still finite and keeps every sign and zero.
     """
     f = f[start - 1:]
     coeffs = memoryview((12.0 - 10.0 * f[1:-1]) / f[1:-1])
-    flips = (f[2:] < 0.0) != (f[1:-1] < 0.0)
     # plain floats: a numpy scalar here would slow every step of the loop
     y_prev, y_cur, nodes = float(first_term), float(f[1]) * float(u1), 0
-    first = 0
-    for end in [*(np.flatnonzero(flips) + 1).tolist(), len(coeffs)]:
-        for lo in range(first, end, _CHUNK):
-            chunk = coeffs[lo:min(lo + _CHUNK, end)]
+    for lo in range(0, len(coeffs), _CHUNK):
+        chunk = coeffs[lo:lo + _CHUNK]
+        p, c, k = y_prev, y_cur, nodes
+        if count_nodes:
+            for a_i in chunk:
+                p, c = c, a_i * c - p
+                if c * p < 0.0:
+                    k += 1
+        else:
+            for a_i in chunk:
+                p, c = c, a_i * c - p
+        if not -1e250 <= c <= 1e250:
             p, c, k = y_prev, y_cur, nodes
-            if count_nodes:
-                for a_i in chunk:
-                    p, c = c, a_i * c - p
-                    if c * p < 0.0:
-                        k += 1
-            else:
-                for a_i in chunk:
-                    p, c = c, a_i * c - p
-            if not -1e250 <= c <= 1e250:
-                p, c, k = y_prev, y_cur, nodes
-                for a_i in chunk:
-                    p, c = c, a_i * c - p
-                    if c * p < 0.0:
-                        k += 1
-                    if c > 1e250 or c < -1e250:
-                        # the eigenvalue condition only uses signs and zeros
-                        p *= 1e-250
-                        c *= 1e-250
-            y_prev, y_cur, nodes = p, c, k
-        if first < end and flips[end - 1]:
-            nodes += (y_cur * y_prev > 0.0) - (y_cur * y_prev < 0.0)
-        first = end
+            for a_i in chunk:
+                p, c = c, a_i * c - p
+                if c * p < 0.0:
+                    k += 1
+                if c > 1e250 or c < -1e250:
+                    # the eigenvalue condition only uses signs and zeros
+                    p *= 1e-250
+                    c *= 1e-250
+        y_prev, y_cur, nodes = p, c, k
     return nodes, y_cur / float(f[-1])
 
 
@@ -229,6 +224,10 @@ class _Shooter:
         v = np.empty_like(self.r)
         v[0] = 0.0  # never used: u(0) = 0 kills the first Numerov term
         v[1:] = _sample(potential, self.r[1:])
+        bad = np.flatnonzero(~np.isfinite(v[1:])) + 1
+        if bad.size:
+            raise DomainError(f"the potential is not finite at {bad.size} mesh "
+                              f"points, the first at r={self.r[bad[0]]:.6g}")
         cent = np.zeros_like(self.r)
         if l > 0:
             cent[1:] = l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
@@ -302,7 +301,6 @@ class _Shooter:
     def solve(
         self,
         n_r: int,
-        etol: float,
         guess: float | None = None,
         span: float = _WARM_SPAN,
         asym: float = math.inf,
@@ -317,9 +315,8 @@ class _Shooter:
         potential's large-distance limit) is returned unrefined.
         """
         if guess is None:
-            vmin = float(np.min(self.veff[1:]))
-            lo = vmin if math.isfinite(vmin) else -1.0
-            hi = max(float(self.veff[-1]), vmin + 1.0)
+            lo = float(np.min(self.veff[1:]))
+            hi = max(float(self.veff[-1]), lo + 1.0)
             step = max(abs(hi - lo), 1.0)
         else:
             step = span * (abs(guess) or 1.0)
@@ -335,7 +332,7 @@ class _Shooter:
         (lo, n_lo, u_lo), (hi, n_hi, u_hi) = below, above
         while n_lo != n_r or n_hi != n_r + 1:
             mid = 0.5 * (lo + hi)
-            if hi - lo <= etol * max(1.0, abs(lo), abs(hi)) or mid == lo or mid == hi:
+            if hi - lo <= _ETOL * max(1.0, abs(lo), abs(hi)) or mid == lo or mid == hi:
                 # the node count jumps by more than one: no clean sign
                 # change to converge on; the final node check judges it
                 return mid
@@ -349,9 +346,7 @@ class _Shooter:
             # on it would only be thrown away
             return lo
         try:
-            # etol is relative above |E| = 1 and absolute below, as in the
-            # node-count bisection
-            return _brent(self.edge, lo, hi, rtol=etol, atol=etol, fa=u_lo, fb=u_hi)
+            return _brent(self.edge, lo, hi, rtol=_ETOL, atol=_ETOL, fa=u_lo, fb=u_hi)
         except (RuntimeError, ValueError) as exc:
             raise ConvergenceError(
                 f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: {exc}"
@@ -380,12 +375,9 @@ class _Shooter:
 
         Solves wkb_phase(E) = pi (n_r + 1/2) with no Numerov sweep, to
         _WKB_TOL.  None when the box cannot hold the level below its edge
-        value of the Langer potential, or when that potential is not
-        finite.
+        value of the Langer potential.
         """
         lo, hi = float(np.min(self.langer)), float(self.langer[-1])
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            return None
         target = math.pi * (n_r + 0.5)
         f_hi = self.wkb_phase(hi) - target
         if f_hi < 0.0:
@@ -418,7 +410,7 @@ class _Shooter:
         box is shot and the unbound-round rule sees it.
         """
         top = float(self.langer[-1]) if estimate is None else estimate
-        if not math.isfinite(top) or _unbound(top, asym):
+        if _unbound(top, asym):
             return False
         low = top - _SKIP_MARGIN * min(asym - top, top - float(np.min(self.langer)))
         return not self.holds(low)
@@ -431,22 +423,23 @@ def radial_eigenvalue(
     n_r: int,
     rmax: float | None = None,
     npoints: int | None = None,
-    etol: float = 1e-13,
 ) -> float:
     """Eigenvalue with n_r radial nodes and orbital momentum l.
 
     mu is the reduced mass; the potential must support the requested
     bound state (NoBoundState otherwise).  rmax/npoints override the
     adaptive box and mesh, which the convergence tests use to measure
-    the O(h^4) error scaling directly.  rmax, npoints and etol must be
-    positive and finite, npoints a whole number.  On a fixed box, a mesh
-    whose Numerov factor is not positive at some point at the level
-    found raises DomainError.
+    the O(h^4) error scaling directly; both must be positive and finite,
+    npoints a whole number.  The level is found to _ETOL = 1e-13,
+    relative above |E| = 1 and absolute below.  A potential that is not
+    finite, or raises an arithmetic error, at a mesh point raises
+    DomainError, and so does, on a fixed box, a mesh whose Numerov factor
+    is not positive at some point at the level found.
     """
     require_finite_positive("reduced mass", mu)
     if l < 0 or n_r < 0:
         raise DomainError(f"quantum numbers must be >= 0, got l={l!r}, n_r={n_r!r}")
-    for name, value in (("rmax", rmax), ("npoints", npoints), ("etol", etol)):
+    for name, value in (("rmax", rmax), ("npoints", npoints)):
         if value is not None:
             require_finite_positive(name, value)
     if npoints is not None:
@@ -472,7 +465,7 @@ def radial_eigenvalue(
             if not fixed_box and shooter.too_small(guess, asym):
                 box *= 1.8
                 continue
-        e = shooter.solve(n_r, etol, guess=guess, span=span, asym=asym)
+        e = shooter.solve(n_r, guess=guess, span=span, asym=asym)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
         # was being squeezed
@@ -506,7 +499,7 @@ def radial_eigenvalue(
             f"box did not stabilise below rmax={box:.6g}; is the state bound?"
         )
 
-    nodes_below = shooter.shoot(e - 10.0 * etol * max(1.0, abs(e)))[0]
+    nodes_below = shooter.shoot(e - 10.0 * _ETOL * max(1.0, abs(e)))[0]
     if nodes_below != n_r:
         raise ConvergenceError(
             f"converged level has {nodes_below} nodes, expected {n_r}"

@@ -217,6 +217,17 @@ class TestComputePhi:
         assert pres.phi == pytest.approx(confined_phi(params, 6, 1.0), rel=1e-9)
         assert pres.phi == pytest.approx(47.739, rel=1e-5)
 
+    def test_kinetic_derivative_must_be_positive(self):
+        # T = -p^2/2 and V = -r^2/2 at N = 2: the stationarity equation is
+        # that of T = p^2/2, V = r^2/2 with both sides negated, so the
+        # orbit exists at r0 = (2 q^2)^(1/4), but T'(p0) < 0 there
+        kin = InteractionTriple(lambda p: -0.5 * p * p, lambda p: -p, lambda p: -1.0)
+        pair = InteractionTriple(lambda r: -0.5 * r * r, lambda r: -r, lambda r: -1.0)
+        spec = SystemSpec(N=2, D=3, kinetic=kin, pairwise=pair)
+        assert solve_radius(spec, 1.5) == pytest.approx(1.45648, rel=1e-5)
+        with pytest.raises(DomainError, match="kinetic derivative must be positive"):
+            compute_phi(spec, 1.5)
+
     def test_lambda_zero_undefined(self):
         with pytest.raises(PhiUndefined):
             compute_phi(_harmonic(), 0.0)

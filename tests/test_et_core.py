@@ -228,7 +228,9 @@ class TestBracketScan:
         for spec in _FAMILIES[family]:
             for q in _Q_GRID:
                 assert _scan(spec, q) == _loop_brackets(spec, q)
-                pointwise = _cells(et_core._mismatch_pointwise(spec, q))
+                pointwise = _cells(et_core._pointwise(
+                    lambda r: et_core._mismatch(spec, q, r), et_core._GRID_POINTS
+                ))
                 assert pointwise == _loop_brackets(spec, q)
 
     def test_non_finite_points_break_brackets(self):
@@ -278,6 +280,24 @@ class TestBracketScan:
         assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
         # T = p^2/2, V = r: r0 = (2 q^2)^(1/3) for N = 2
         assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** (1 / 3), rel=1e-12)
+
+    def test_point_that_raises_reads_as_nan(self):
+        # d1 of V = r^2/2 divides by zero at r = 1, grid point 480; the `if`
+        # raises ValueError for arrays, so the scan goes point by point
+        pair = InteractionTriple(
+            value=lambda r: 0.5 * r * r,
+            d1=lambda r: 1.0 / 0.0 if r == 1.0 else r,
+            d2=lambda r: 1.0,
+        )
+        spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
+        with pytest.raises(ValueError):
+            et_core._mismatch(spec, 1.5, et_core._GRID)
+        f = et_core._mismatch_on_grid(spec, 1.5)
+        assert et_core._GRID_POINTS[480] == 1.0
+        assert np.flatnonzero(np.isnan(f)).tolist() == [480]
+        assert _cells(f) == _loop_brackets(spec, 1.5)
+        # T = p^2/2, V = r^2/2: r0 = (2 q^2)^(1/4) for N = 2
+        assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** 0.25, rel=1e-12)
 
     def test_constant_triples_broadcast(self):
         # T = |p| and U = k s have constant derivatives; the zero triple is

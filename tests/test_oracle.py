@@ -134,7 +134,7 @@ class TestNoBoundState:
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
-    @pytest.mark.parametrize("name", ["rmax", "npoints", "etol"])
+    @pytest.mark.parametrize("name", ["rmax", "npoints"])
     def test_rejects_bad_box_mesh_and_tolerance(self, name, bad):
         # rmax = nan used to surface as "could not bracket the level"
         with pytest.raises(DomainError):
@@ -351,8 +351,8 @@ class TestWarmStart:
         shooter = oracle._Shooter(
             0.5, potential, l, 40.0, 8000, oracle._laurent_coeffs(potential)
         )
-        cold = shooter.solve(n_r, 1e-13)
-        warm = shooter.solve(n_r, 1e-13, guess=cold * (1.0 + shift))
+        cold = shooter.solve(n_r)
+        warm = shooter.solve(n_r, guess=cold * (1.0 + shift))
         assert warm == pytest.approx(cold, rel=1e-12)
 
 
@@ -380,6 +380,31 @@ class TestPotentialSampling:
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == radial_eigenvalue(
             0.5, OSC, l=0, n_r=0
         )
+
+
+def _raises_in_the_band(r):
+    # a scalar-only r^2 that divides by zero for 1 < r < 2
+    return r * r / (0.0 if 1.0 < r < 2.0 else 1.0)
+
+
+class TestNonFinitePotential:
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # NaN inside the well gave ConvergenceError("box did not stabilise")
+            lambda r: np.where((r > 1.0) & (r < 2.0), np.nan, r * r),
+            # inf past r = 8 gave ConvergenceError("edge-value refinement
+            # failed on [-inf, ...]")
+            lambda r: np.where(r > 8.0, np.inf, r * r),
+            # a scalar ZeroDivisionError escaped raw
+            _raises_in_the_band,
+        ],
+        ids=["nan_band", "inf_tail", "scalar_zero_division"],
+    )
+    def test_raises_domain_error(self, value):
+        pot = InteractionTriple(value, OSC.d1, OSC.d2, "broken r^2")
+        with pytest.raises(DomainError, match="not finite at"):
+            radial_eigenvalue(0.5, pot, l=0, n_r=0)
 
 
 def _box(growths: int, mu: float = 0.5) -> tuple[float, int]:
@@ -437,7 +462,7 @@ class TestWkbStart:
         box, n = _box(0)
         shooter = oracle._Shooter(0.5, pot, 0, box, n, oracle._laurent_coeffs(pot))
         estimate = shooter.wkb_level(0)
-        cold = shooter.solve(0, 1e-13)
+        cold = shooter.solve(0)
         assert abs(cold - estimate) > oracle._SEED_SPAN * abs(estimate)
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(cold, rel=1e-12)
 
@@ -509,13 +534,14 @@ class TestWkbStart:
 def _reference_sweep(f, u1, first_term):
     """The Numerov recurrence on u itself, one step at a time.
 
-    Returns (nodes, u at the edge, rescales): past 1e250, u is scaled by
+    Returns (nodes, u at the edge, rescales).  A node is a sign change of
+    y = f u, the rule the passes follow.  Past 1e250, u is scaled by
     1e-250, so the edge value holds only up to that many such factors.
     """
     u_cur, nodes, carry, rescales = u1, 0, first_term, 0
     for i in range(2, len(f)):
         u_next = ((12.0 - 10.0 * f[i - 1]) * u_cur - carry) / f[i]
-        nodes += u_next * u_cur < 0.0
+        nodes += (f[i] * u_next) * (f[i - 1] * u_cur) < 0.0
         carry = f[i - 1] * u_cur
         u_cur = u_next
         if abs(u_cur) > 1e250:
@@ -621,8 +647,8 @@ class TestSweep:
     @pytest.mark.parametrize("e", [1.0, 20.0, 300.0])
     def test_node_pass_where_f_turns_negative_at_the_edge(self, l, e):
         # V = r^6 in the first adaptive box at mu = 0.5: f < 0 over the
-        # last ~30 % of the mesh, so the pass inverts its node test where
-        # f changes sign, and the recurrence outgrows the rescale
+        # last ~30 % of the mesh, where the pass still counts sign changes
+        # of y = f u, and the recurrence outgrows the rescale
         shooter = oracle._Shooter(0.5, SEXTIC, l, *_box(0), oracle._laurent_coeffs(SEXTIC))
         f, u_start, first_term, i0 = shooter._numerov_input(e)
         assert f[i0] > 0.0 and f[-1] < 0.0
