@@ -8,6 +8,10 @@ parameter axis and emits CSV.
 Exit codes: 0 on success, 2 for configuration or usage problems, 3
 when the requested numbers do not exist (no bound state, no stationary
 point, weight undefined, and so on).
+
+The generic solver (dos, et_core, and numpy with them) is imported
+inside the commands that run it, so that table1 and --help start
+without it.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .dos import compute_phi, improved_energy_at
 from .errors import EtkitError
-from .et_core import energy
 from .model import QuantumNumbers, SystemSpec, nu_lambda
 from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, confined_ground_shift, table1
 
@@ -215,6 +217,9 @@ def _parse_phi(text: str):
 
 
 def _solve_report(settings: dict[str, str]) -> list[str]:
+    from .dos import improved_energy_at
+    from .et_core import energy
+
     spec, shift = _build_system(settings)
     mode = _parse_phi(settings.get("phi", "2"))
     form, data = _quantum_input(settings, spec)
@@ -245,6 +250,8 @@ def _solve_report(settings: dict[str, str]) -> list[str]:
 
 
 def _phi_report(settings: dict[str, str]) -> list[str]:
+    from .dos import compute_phi
+
     settings = {k: v for k, v in settings.items() if k != "phi"}
     spec, _ = _build_system(settings)
     form, data = _quantum_input(settings, spec)
@@ -352,6 +359,8 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
+    from .dos import improved_energy_at
+
     axis = args.axis
     grid = _parse_grid(args.grid)
     base = dict(settings)

@@ -57,7 +57,7 @@ def _orbit_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float,
             f"kinetic derivative must be positive at p0={p0:.6g}, got {t1:.6g}"
         )
     t2 = spec.kinetic.d2(p0)
-    root_c = math.sqrt(spec.pair_count)
+    root_c = spec._root_pair_count
     u1 = spec.onebody.d1(r0 / spec.N)
     u2 = spec.onebody.d2(r0 / spec.N)
     v1 = spec.pairwise.d1(r0 / root_c)

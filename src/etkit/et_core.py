@@ -56,7 +56,7 @@ def _lhs(spec: SystemSpec, q: float, r: float) -> float:
 
 def _rhs(spec: SystemSpec, r: float) -> float:
     """Right side of the stationarity equation, which does not depend on q."""
-    root_c = math.sqrt(spec.pair_count)
+    root_c = spec._root_pair_count
     return r * spec.onebody.d1(r / spec.N) + root_c * r * spec.pairwise.d1(r / root_c)
 
 
@@ -66,11 +66,10 @@ def _mismatch(spec: SystemSpec, q: float, r: float) -> float:
 
 def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
     p0 = q / r0
-    root_c = math.sqrt(spec.pair_count)
     return (
         spec.N * spec.kinetic.value(p0)
         + spec.N * spec.onebody.value(r0 / spec.N)
-        + spec.pair_count * spec.pairwise.value(r0 / root_c)
+        + spec.pair_count * spec.pairwise.value(r0 / spec._root_pair_count)
     )
 
 

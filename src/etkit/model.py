@@ -13,8 +13,10 @@ integer over 2) and only converted to float at solver entry.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .errors import DomainError, require_finite_positive
@@ -56,12 +58,13 @@ class InteractionTriple:
     oracle fall back to one call per point, which is much slower, and
     read a point where the call raises an arithmetic error as NaN; the
     scan skips NaN points, and the oracle rejects a potential that is not
-    finite at a mesh point with DomainError.  A callable must not reduce
-    its argument (``np.mean``, ``float(x)`` of a size-1 result), since
-    that cannot be told apart from a correct array result.  The
-    scan evaluates the one-body and pair derivatives on its grid once per
-    ``SystemSpec`` object and reuses them for later solves on the same
-    object, so the callables must be pure functions of their argument.
+    finite at a mesh point or at one of its probes with DomainError.  A
+    callable must not reduce its argument (``np.mean``, ``float(x)`` of a
+    size-1 result), since that cannot be told apart from a correct array
+    result.  The scan evaluates the one-body and pair derivatives on its
+    grid once per ``SystemSpec`` object and reuses them for later solves
+    on the same object, so the callables must be pure functions of their
+    argument.
     """
 
     value: Callable[[float], float]
@@ -105,10 +108,15 @@ class SystemSpec:
         if not isinstance(self.D, int) or self.D < 2:
             raise DomainError(f"need dimension D >= 2, got D={self.D!r}")
 
-    @property
+    @cached_property
     def pair_count(self) -> int:
         """Number of particle pairs, N(N-1)/2."""
         return self.N * (self.N - 1) // 2
+
+    @cached_property
+    def _root_pair_count(self) -> float:
+        """sqrt(pair_count), the pair-distance scale the solver reads at every evaluation."""
+        return math.sqrt(self.pair_count)
 
 
 @dataclass(frozen=True)

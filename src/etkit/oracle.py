@@ -88,16 +88,22 @@ _Shot = tuple[float, int, float]
 def _asymptote(potential: InteractionTriple) -> float:
     """Potential value at the largest probe radius that evaluates finitely.
 
-    Confining potentials report a huge (or infinite) value, so the
-    bound-state check against this limit never fires for them.
+    Confining potentials report a huge (or infinite) value, or overflow,
+    so the bound-state check against this limit never fires for them.  A
+    probe that is undefined (NaN, or any other arithmetic error) raises
+    DomainError.
     """
     limit = math.inf
     for radius in (1e5, 1e6, 1e7):
         try:
             value = potential.value(radius)
-        except (OverflowError, ValueError):
+        except OverflowError:
             break
-        if not math.isfinite(value):
+        except (ValueError, ZeroDivisionError):
+            value = math.nan
+        if math.isnan(value):
+            raise DomainError(f"the potential is not finite at r={radius:g}")
+        if math.isinf(value):
             break
         limit = value
     return limit
@@ -113,9 +119,12 @@ def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[fl
 
     Richardson extrapolation of r*V(r) and V(r) - A/r at two small
     radii; exact for potentials that actually have this form, and a
-    harmless ~0 for regular ones.
+    harmless ~0 for regular ones.  Both samples must be finite
+    (DomainError otherwise).
     """
-    v1, v2 = potential.value(eta), potential.value(eta / 2.0)
+    v1, v2 = _pointwise(potential.value, [eta, eta / 2.0]).tolist()
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise DomainError(f"the potential is not finite at r={eta:g} or r={eta / 2.0:g}")
     t1 = eta * v1
     t2 = (eta / 2.0) * v2
     a = 2.0 * t2 - t1

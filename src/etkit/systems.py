@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 from .errors import DomainError, NoBoundState, UnboundRegime, require_finite_positive
 from .specfun import beta, lambert_w0, quartic_root_g
 from .model import Bound, InteractionTriple, QuantumNumbers, SystemSpec, nu_lambda, q_phi
@@ -202,6 +200,9 @@ class GaussianParams:
 
 
 def gaussian_system(p: GaussianParams, N: int, D: int = 3) -> SystemSpec:
+    # the one family whose triples need numpy (np.exp on the scan's arrays)
+    import numpy as np
+
     m, v0, rr = p.m, p.V0, p.R
     pair = InteractionTriple(
         value=lambda r: -v0 * np.exp(-r * r / (rr * rr)),

@@ -423,7 +423,8 @@ class TestBrent:
 
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, etkit; print([m for m in sys.modules if m.startswith('scipy')])"
+    # the root resolves its names lazily: load every one before looking
+    code = "import sys; from etkit import *; print([m for m in sys.modules if m.startswith('scipy')])"
     res = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )

@@ -406,6 +406,35 @@ class TestNonFinitePotential:
         with pytest.raises(DomainError, match="not finite at"):
             radial_eigenvalue(0.5, pot, l=0, n_r=0)
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # inf at the near-origin probes r = 1e-8 and 5e-9, finite on the
+            # mesh: the Laurent coefficient read NaN, and every shot with it,
+            # so the solve ended in ConvergenceError("could not bracket the
+            # level from above")
+            lambda r: np.exp(1.0 / r) + r * r,
+            # the same potential on scalars: a raw OverflowError
+            lambda r: math.exp(1.0 / r) + r * r,
+            # a scalar r^2 that divides by zero past r = 1e4, where the
+            # large-distance probes read it: a raw ZeroDivisionError
+            lambda r: r * r / (0.0 if r > 1e4 else 1.0),
+        ],
+        ids=["array_overflow_near_origin", "scalar_overflow_near_origin",
+             "scalar_zero_division_far_out"],
+    )
+    def test_probes_off_the_mesh_raise_domain_error(self, value):
+        pot = InteractionTriple(value, OSC.d1, OSC.d2, "broken r^2")
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="not finite at"):
+            radial_eigenvalue(0.5, pot, l=0, n_r=0)
+
+    def test_overflow_far_out_still_reads_as_confining(self):
+        # a scalar potential too large to represent at the large-distance
+        # probes confines; only an undefined value there is an error
+        pot = InteractionTriple(lambda r: math.exp(r / 3.0), OSC.d1, OSC.d2, "e^(r/3)")
+        assert oracle._asymptote(pot) == math.inf
+        assert math.isfinite(radial_eigenvalue(0.5, pot, l=0, n_r=0))
+
 
 def _box(growths: int, mu: float = 0.5) -> tuple[float, int]:
     """The adaptive box after some growths, and the mesh it gets."""
