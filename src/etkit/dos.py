@@ -51,17 +51,17 @@ def _orbit_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float,
     radius is a degenerate (tangent) root.
     """
     p0 = lam / r0
-    t1 = spec.kinetic.d1(p0)
+    t1 = float(spec.kinetic.d1(p0))
     if t1 <= 0.0:
         raise DomainError(
             f"kinetic derivative must be positive at p0={p0:.6g}, got {t1:.6g}"
         )
-    t2 = spec.kinetic.d2(p0)
+    t2 = float(spec.kinetic.d2(p0))
     root_c = spec._root_pair_count
-    u1 = spec.onebody.d1(r0 / spec.N)
-    u2 = spec.onebody.d2(r0 / spec.N)
-    v1 = spec.pairwise.d1(r0 / root_c)
-    v2 = spec.pairwise.d2(r0 / root_c)
+    u1 = float(spec.onebody.d1(r0 / spec.N))
+    u2 = float(spec.onebody.d2(r0 / spec.N))
+    v1 = float(spec.pairwise.d1(r0 / root_c))
+    v2 = float(spec.pairwise.d2(r0 / root_c))
     mu = lam / (spec.N * r0 * t1)
     stiffness = (
         spec.N * lam / r0 ** 4 * (2.0 * r0 * t1 + lam * t2)
@@ -80,8 +80,7 @@ def _orbit_terms(spec: SystemSpec, lam: float, r0: float) -> tuple[float, float,
         + root_c * v1
         + r0 * v2
     )
-    # triples may compute in numpy scalars; results leave as plain floats
-    return float(stiffness) / float(mu), float(b_n), float(b_d)
+    return stiffness / mu, b_n, b_d
 
 
 def compute_phi(spec: SystemSpec, lam) -> PhiResult:

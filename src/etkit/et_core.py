@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    AmbiguousSolution, ConvergenceError, NoSolution, require_finite_positive,
+    AmbiguousSolution, ConvergenceError, DomainError, NoSolution, require_finite_positive,
 )
 from .model import Bound, EtSolution, SystemSpec
 
@@ -66,7 +66,7 @@ def _mismatch(spec: SystemSpec, q: float, r: float) -> float:
 
 def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
     p0 = q / r0
-    return (
+    return float(
         spec.N * spec.kinetic.value(p0)
         + spec.N * spec.onebody.value(r0 / spec.N)
         + spec.pair_count * spec.pairwise.value(r0 / spec._root_pair_count)
@@ -193,7 +193,7 @@ def _refine(spec: SystemSpec, q: float, lo: float, hi: float,
     if lo == hi:
         return lo
     try:
-        return float(_brent(lambda r: _mismatch(spec, q, r), lo, hi, fa=f_lo, fb=f_hi))
+        return _brent(lambda r: float(_mismatch(spec, q, r)), lo, hi, fa=f_lo, fb=f_hi)
     except (RuntimeError, ValueError) as exc:
         raise ConvergenceError(
             f"root refinement failed on [{lo:.6g}, {hi:.6g}]: {exc}"
@@ -201,7 +201,7 @@ def _refine(spec: SystemSpec, q: float, lo: float, hi: float,
 
 
 def _check_residual(spec: SystemSpec, q: float, r0: float) -> None:
-    lhs, rhs = _lhs(spec, q, r0), _rhs(spec, r0)
+    lhs, rhs = float(_lhs(spec, q, r0)), float(_rhs(spec, r0))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     if abs(lhs - rhs) > _RESIDUAL_RTOL * scale:
         raise ConvergenceError(
@@ -237,7 +237,9 @@ def solve_radius(spec: SystemSpec, q) -> float:
     applies the variational selection rule if several roots exist.
     """
     q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
+    if not math.isfinite(q):
+        raise DomainError(f"collective number must be finite, got {q!r}")
+    if q <= 0.0:
         raise NoSolution(f"collective number must be positive, got {q!r}")
     found = _brackets(_mismatch_on_grid(spec, q))
     if not found:
@@ -265,5 +267,5 @@ def energy(spec: SystemSpec, q) -> EtSolution:
     r0 = solve_radius(spec, q)
     p0 = q / r0
     return EtSolution(
-        E=float(_energy_at(spec, q, r0)), r0=r0, p0=p0, q_used=q, bound=spec.bound
+        E=_energy_at(spec, q, r0), r0=r0, p0=p0, q_used=q, bound=spec.bound
     )

@@ -64,7 +64,8 @@ class InteractionTriple:
     result.  The scan evaluates the one-body and pair derivatives on its
     grid once per ``SystemSpec`` object and reuses them for later solves
     on the same object, so the callables must be pure functions of their
-    argument.
+    argument.  The solver converts each scalar result to float, so an
+    ``np.*`` triple pays one numpy call per scalar evaluation and no more.
     """
 
     value: Callable[[float], float]

@@ -105,7 +105,7 @@ def _asymptote(potential: InteractionTriple) -> float:
             raise DomainError(f"the potential is not finite at r={radius:g}")
         if math.isinf(value):
             break
-        limit = value
+        limit = float(value)
     return limit
 
 

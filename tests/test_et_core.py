@@ -32,7 +32,7 @@ from etkit import (
     powerlaw2_system,
     solve_radius,
 )
-from etkit import et_core
+from etkit import dos, et_core
 
 
 def _coulomb_pair(n_body: int, g: float = 1.0, m: float = 1.0) -> SystemSpec:
@@ -155,8 +155,11 @@ class TestNoSolution:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_q_is_a_domain_error(self, bad):
-        # NaN used to reach solve_radius and come back as NoSolution
+        # NaN used to reach solve_radius and come back as NoSolution, and
+        # solve_radius itself reported "must be positive, got nan"
         spec = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=2.0), 2)
+        with pytest.raises(DomainError):
+            solve_radius(spec, bad)
         with pytest.raises(DomainError):
             energy(spec, bad)
 
@@ -389,6 +392,87 @@ class TestGridRhsReuse:
         assert (f_lo, f_hi) == (f[index(lo)], f[index(hi)])
         solve_radius(spec, 1.5)
         assert radii and lo not in radii and hi not in radii
+
+
+def _semirelativistic_pair() -> SystemSpec:
+    """A hand-built system whose kinetic triple is written with np.sqrt."""
+    kin = InteractionTriple(
+        value=lambda p: np.sqrt(p * p + 1.0),
+        d1=lambda p: p / np.sqrt(p * p + 1.0),
+        d2=lambda p: 1.0 / np.sqrt(p * p + 1.0) ** 3,
+        label="sqrt(p^2+1)",
+    )
+    pair = InteractionTriple(
+        value=lambda r: r, d1=lambda r: 1.0, d2=lambda r: 0.0, label="r"
+    )
+    return SystemSpec(
+        N=2, D=3, kinetic=kin, onebody=InteractionTriple.zero(), pairwise=pair,
+        label="semirelativistic pair",
+    )
+
+
+_NUMPY_TRIPLE_SPECS = {
+    "gaussian": lambda: gaussian_system(GaussianParams(m=1.0, V0=5.0, R=2.0), 2),
+    "np_sqrt": _semirelativistic_pair,
+}
+
+
+def _locals_at_return(fn, call) -> list[dict]:
+    """The locals of every run of fn during call(), read as it returns."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is fn.__code__:
+            seen.append(dict(frame.f_locals))
+
+    prev = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(prev)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(_NUMPY_TRIPLE_SPECS))
+class TestFloatArithmetic:
+    """Triples written with np.* return numpy scalars on scalar input.
+
+    The solver converts each such result to float where it enters its
+    own arithmetic, so Brent, the residual check, the root selection and
+    the orbit terms of phi all compute in Python floats.
+    """
+
+    def test_brent_sees_floats(self, name, monkeypatch):
+        spec, values = _NUMPY_TRIPLE_SPECS[name](), []
+        brent = et_core._brent
+
+        def recording(f, a, b, **kwargs):
+            def g(r):
+                values.append(f(r))
+                return values[-1]
+            return brent(g, a, b, **kwargs)
+
+        monkeypatch.setattr(et_core, "_brent", recording)
+        energy(spec, 1.5)
+        assert values and all(type(v) is float for v in values)
+
+    def test_residual_and_energy_are_floats(self, name):
+        spec = _NUMPY_TRIPLE_SPECS[name]()
+        r0 = solve_radius(spec, 1.5)
+        assert type(et_core._energy_at(spec, 1.5, r0)) is float
+        seen = _locals_at_return(et_core._check_residual, lambda: solve_radius(spec, 1.5))
+        assert seen
+        for frame in seen:
+            assert [type(frame[k]) for k in ("lhs", "rhs", "scale")] == [float] * 3
+
+    def test_orbit_terms_compute_in_floats(self, name):
+        spec = _NUMPY_TRIPLE_SPECS[name]()
+        seen = _locals_at_return(dos._orbit_terms, lambda: dos.compute_phi(spec, 1.5))
+        assert len(seen) == 1
+        terms = {k: type(v) for k, v in seen[0].items() if k != "spec"}
+        assert set(terms) >= {"t1", "t2", "u1", "u2", "v1", "v2", "stiffness", "b_n", "b_d"}
+        assert terms == dict.fromkeys(terms, float)
 
 
 class TestBrent:

@@ -435,6 +435,15 @@ class TestNonFinitePotential:
         assert oracle._asymptote(pot) == math.inf
         assert math.isfinite(radial_eigenvalue(0.5, pot, l=0, n_r=0))
 
+    def test_numpy_asymptote_is_a_float(self):
+        # a potential written with np.exp returns np.float64 at the probes;
+        # the limit that the bound-state checks compare with is a float
+        pot = InteractionTriple(
+            lambda r: 1.0 - np.exp(-r), lambda r: np.exp(-r), lambda r: -np.exp(-r), "1-e^-r"
+        )
+        asym = oracle._asymptote(pot)
+        assert type(asym) is float and asym == 1.0
+
 
 def _box(growths: int, mu: float = 0.5) -> tuple[float, int]:
     """The adaptive box after some growths, and the mesh it gets."""
