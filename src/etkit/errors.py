@@ -70,3 +70,9 @@ def require_finite_positive(name: str, value, allow_zero: bool = False) -> float
         return float(value)
     kind = "non-negative" if allow_zero else "positive"
     raise DomainError(f"{name} must be {kind} and finite, got {value!r}")
+
+
+def require_particle_count(n) -> None:
+    """DomainError unless the particle count n is an int of at least 2."""
+    if not isinstance(n, int) or n < 2:
+        raise DomainError(f"need at least two particles, got N={n!r}")

@@ -73,41 +73,45 @@ def _energy_at(spec: SystemSpec, q: float, r0: float) -> float:
     )
 
 
-def _pointwise(fn: Callable[[float], float], points: list[float]) -> np.ndarray:
-    """fn at each of points, one scalar call per point.
+def _on_points(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn at every point of the 1-D array x, in one array call where fn allows.
 
-    Points where fn raises an arithmetic error read as NaN.
+    When that call raises or does not return one number per point, fn
+    is called once per point instead.  numpy warnings are silenced
+    throughout; a point where a scalar call overflows reads as inf, and
+    one where it raises ValueError or ZeroDivisionError as NaN.
     """
-    out = np.empty(len(points))
-    for i, x in enumerate(points):
+    with np.errstate(all="ignore"):
         try:
-            out[i] = fn(x)
-        except (OverflowError, ValueError, ZeroDivisionError):
-            out[i] = math.nan
-    return out
+            v = np.asarray(fn(x), dtype=float)
+            if v.shape == x.shape:
+                return v
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+        v = np.empty(x.shape)
+        for i, point in enumerate(x.tolist()):
+            try:
+                v[i] = fn(point)
+            except OverflowError:
+                v[i] = math.inf
+            except (ValueError, ZeroDivisionError):
+                v[i] = math.nan
+        return v
 
 
 def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
-    """Mismatch on the scan grid, in one array call where the triples allow.
+    """Mismatch on the scan grid, through _on_points.
 
-    The q-independent right side is reused while the same spec object is
-    scanned again.  Triples that reject arrays, or do not return one
-    number per grid point, are evaluated point by point instead.
+    The q-independent right side on the grid is reused while the same
+    spec object is scanned again; a per-point evaluation of the mismatch
+    recomputes it at each point.
     """
     global _grid_rhs
-    try:
-        with np.errstate(all="ignore"):
-            cached, rhs = _grid_rhs
-            if cached is not spec:
-                rhs = _rhs(spec, _GRID)
-                if isinstance(rhs, np.ndarray) and rhs.shape == _GRID.shape:
-                    _grid_rhs = (spec, rhs)
-            f = np.asarray(_lhs(spec, q, _GRID) - rhs, dtype=float)
-    except (TypeError, ValueError, ArithmeticError):
-        return _pointwise(lambda r: _mismatch(spec, q, r), _GRID_POINTS)
-    if f.shape != _GRID.shape:
-        return _pointwise(lambda r: _mismatch(spec, q, r), _GRID_POINTS)
-    return f
+    cached, rhs = _grid_rhs
+    if cached is not spec:
+        rhs = _on_points(lambda r: _rhs(spec, r), _GRID)
+        _grid_rhs = (spec, rhs)
+    return _on_points(lambda r: _lhs(spec, q, r) - (rhs if r is _GRID else _rhs(spec, r)), _GRID)
 
 
 def _brackets(f: np.ndarray) -> list[tuple[float, float, float, float]]:

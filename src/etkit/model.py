@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
-from .errors import DomainError, require_finite_positive
+from .errors import DomainError, require_finite_positive, require_particle_count
 
 __all__ = [
     "Bound",
@@ -50,22 +50,24 @@ class InteractionTriple:
     system supplies value, d1 and d2 as consistent callables.  The test
     suite checks the built-in triples against finite differences.
 
-    The bracket scan calls the callables once with a numpy array of
-    radii or momenta, so write them with ``np.*`` functions and
-    element-wise arithmetic; a constant return value is fine.  Callables
-    that only take scalars (``math.exp``, ``if x > 0``) still work: when
-    the array call raises or returns the wrong shape, the scan and the
-    oracle fall back to one call per point, which is much slower, and
-    read a point where the call raises an arithmetic error as NaN; the
-    scan skips NaN points, and the oracle rejects a potential that is not
-    finite at a mesh point or at one of its probes with DomainError.  A
+    The scan grid, the oracle mesh and the oracle's probes each call a
+    callable once with a numpy array of points, numpy warnings silenced,
+    so write it with ``np.*`` functions and element-wise arithmetic; a
+    constant return value is fine.  Scalar-only callables (``math.exp``,
+    ``if x > 0``) still work: when the array call raises or returns the
+    wrong shape, the callable is called once per point, which is much
+    slower.  A point whose call overflows reads as inf, and one that
+    raises ValueError or ZeroDivisionError as NaN; the scan skips
+    non-finite points, and the oracle raises DomainError for a potential
+    that is not finite on its mesh or near the origin, or NaN far out.  A
     callable must not reduce its argument (``np.mean``, ``float(x)`` of a
     size-1 result), since that cannot be told apart from a correct array
     result.  The scan evaluates the one-body and pair derivatives on its
-    grid once per ``SystemSpec`` object and reuses them for later solves
-    on the same object, so the callables must be pure functions of their
-    argument.  The solver converts each scalar result to float, so an
-    ``np.*`` triple pays one numpy call per scalar evaluation and no more.
+    grid once per ``SystemSpec`` object, array call or not, and reuses
+    them for later solves on the same object, so the callables must be
+    pure functions of their argument.  The solver converts each scalar
+    result to float, so an ``np.*`` triple pays one numpy call per scalar
+    evaluation and no more.
     """
 
     value: Callable[[float], float]
@@ -104,8 +106,7 @@ class SystemSpec:
     precheck: Callable[[float], object] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 2:
-            raise DomainError(f"need at least two particles, got N={self.N!r}")
+        require_particle_count(self.N)
         if not isinstance(self.D, int) or self.D < 2:
             raise DomainError(f"need dimension D >= 2, got D={self.D!r}")
 

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NoBoundState, require_finite_positive
-from .et_core import _brent, _pointwise
+from .et_core import _brent, _on_points
 from .model import InteractionTriple
 
 __all__ = ["radial_eigenvalue"]
@@ -88,24 +88,19 @@ _Shot = tuple[float, int, float]
 def _asymptote(potential: InteractionTriple) -> float:
     """Potential value at the largest probe radius that evaluates finitely.
 
-    Confining potentials report a huge (or infinite) value, or overflow,
-    so the bound-state check against this limit never fires for them.  A
-    probe that is undefined (NaN, or any other arithmetic error) raises
-    DomainError.
+    Confining potentials report a huge or infinite value (an overflow
+    reads as inf), so the bound-state check against this limit never
+    fires for them.  A probe that is undefined (NaN, or a ValueError or
+    ZeroDivisionError) raises DomainError.
     """
     limit = math.inf
-    for radius in (1e5, 1e6, 1e7):
-        try:
-            value = potential.value(radius)
-        except OverflowError:
-            break
-        except (ValueError, ZeroDivisionError):
-            value = math.nan
+    radii = (1e5, 1e6, 1e7)
+    for radius, value in zip(radii, _on_points(potential.value, np.array(radii)).tolist()):
         if math.isnan(value):
             raise DomainError(f"the potential is not finite at r={radius:g}")
         if math.isinf(value):
             break
-        limit = float(value)
+        limit = value
     return limit
 
 
@@ -122,7 +117,7 @@ def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[fl
     harmless ~0 for regular ones.  Both samples must be finite
     (DomainError otherwise).
     """
-    v1, v2 = _pointwise(potential.value, [eta, eta / 2.0]).tolist()
+    v1, v2 = _on_points(potential.value, np.array([eta, eta / 2.0])).tolist()
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise DomainError(f"the potential is not finite at r={eta:g} or r={eta / 2.0:g}")
     t1 = eta * v1
@@ -136,23 +131,6 @@ def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[fl
     if not math.isfinite(b):
         b = 0.0
     return a, b
-
-
-def _sample(potential: InteractionTriple, r: np.ndarray) -> np.ndarray:
-    """V on the mesh radii, in one array call where the triple allows.
-
-    Triples that reject arrays, or do not return one number per radius,
-    are evaluated point by point instead, where a radius at which the
-    callable raises an arithmetic error reads as NaN.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            v = np.asarray(potential.value(r), dtype=float)
-    except (TypeError, ValueError, ArithmeticError):
-        v = None
-    if v is None or v.shape != r.shape:
-        v = _pointwise(potential.value, r.tolist())
-    return v
 
 
 def _numerov(
@@ -232,7 +210,7 @@ class _Shooter:
         self.r = np.linspace(0.0, rmax, npoints + 1)
         v = np.empty_like(self.r)
         v[0] = 0.0  # never used: u(0) = 0 kills the first Numerov term
-        v[1:] = _sample(potential, self.r[1:])
+        v[1:] = _on_points(potential.value, self.r[1:])
         bad = np.flatnonzero(~np.isfinite(v[1:])) + 1
         if bad.size:
             raise DomainError(f"the potential is not finite at {bad.size} mesh "

@@ -109,30 +109,11 @@ def _quartic_residual(x: float, y: float) -> float:
     return 4.0 * x ** 4 - 8.0 * x - 3.0 * y
 
 
-def _bisect_quartic(y: float) -> float:
-    """Safeguard root finder, only used if the closed form misbehaves."""
-    lo, hi = 2.0 ** (1.0 / 3.0) * 0.5, (0.75 * y) ** 0.25 + 2.0
-    flo = _quartic_residual(lo, y)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = _quartic_residual(mid, y)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
-
-
 def quartic_root_g(y: float) -> float:
     """The only positive root of 4x^4 - 8x = 3Y, for Y >= 0.
 
-    The closed form goes through the resolvent cubic; a bisection
-    fallback guards the rare case where rounding pushes the residual out
-    of tolerance.
+    The closed form goes through the resolvent cubic; a residual out of
+    tolerance raises ConvergenceError.
     """
     if not math.isfinite(y) or y < 0.0:
         raise DomainError(f"quartic_root_g needs Y >= 0, got {y!r}")
@@ -142,9 +123,7 @@ def quartic_root_g(y: float) -> float:
     x = 0.5 * (rv + math.sqrt(max(0.0, 4.0 / rv - v)))
 
     if abs(_quartic_residual(x, y)) > 1e-10 * max(1.0, y):
-        x = _bisect_quartic(y)
-        if abs(_quartic_residual(x, y)) > 1e-10 * max(1.0, y):
-            raise ConvergenceError(f"quartic_root_g({y!r}) did not reach tolerance")
+        raise ConvergenceError(f"quartic_root_g({y!r}) did not reach tolerance")
     return x
 
 

@@ -23,7 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import DomainError, NoBoundState, UnboundRegime, require_finite_positive
+from .errors import (
+    DomainError, NoBoundState, UnboundRegime, require_finite_positive, require_particle_count,
+)
 from .specfun import beta, lambert_w0, quartic_root_g
 from .model import Bound, InteractionTriple, QuantumNumbers, SystemSpec, nu_lambda, q_phi
 
@@ -122,6 +124,7 @@ def powerlaw2_system(p: PowerLaw2Params, N: int, D: int = 3) -> SystemSpec:
 
 def powerlaw2_energy(p: PowerLaw2Params, N: int, q: float) -> float:
     """Closed-form envelope energy for the power-law pair system."""
+    require_particle_count(N)
     require_finite_positive("q", q)
     b = p.b
     core = (
@@ -170,6 +173,7 @@ def powerlaw1_system(p: PowerLaw1Params, N: int, D: int = 3) -> SystemSpec:
 
 
 def powerlaw1_energy(p: PowerLaw1Params, N: int, q: float) -> float:
+    require_particle_count(N)
     require_finite_positive("q", q)
     b = p.b
     return (b + 1.0) / b * (N * p.a * b * q ** b) ** (1.0 / (b + 1.0))
@@ -219,6 +223,7 @@ def gaussian_system(p: GaussianParams, N: int, D: int = 3) -> SystemSpec:
 
 def gaussian_y(p: GaussianParams, N: int, z: float) -> float:
     """Scaled collective number fed to the Lambert function; negative."""
+    require_particle_count(N)
     return -z / (math.sqrt(N) * (N - 1.0) * p.R * math.sqrt(2.0 * p.m * p.V0))
 
 
@@ -250,6 +255,7 @@ def gaussian_phi(p: GaussianParams, N: int, lam: float) -> float:
 
 def gaussian_harmonic_limit(p: GaussianParams, N: int, q: float) -> float:
     """Wide-well limit of the Gaussian energy, valid for R -> infinity."""
+    require_particle_count(N)
     require_finite_positive("q", q)
     cn = N * (N - 1.0) / 2.0
     return -cn * p.V0 + math.sqrt(2.0 * N * p.V0 / (p.m * p.R * p.R)) * q
@@ -301,6 +307,7 @@ def confined_system(p: ConfinedParams, N: int, D: int = 3) -> SystemSpec:
 
 def confined_y(p: ConfinedParams, N: int, z: float) -> float:
     """Scaled collective number fed to the quartic root; needs g > 0."""
+    require_particle_count(N)
     if p.g == 0.0:
         raise DomainError("scaled number undefined at g = 0 (pure oscillator)")
     return (
@@ -327,6 +334,7 @@ def confined_energy(p: ConfinedParams, N: int, q: float) -> float:
     confined_ground_shift(p, D) where the trap acts on absolute
     coordinates.
     """
+    require_particle_count(N)
     require_finite_positive("q", q)
     if p.g == 0.0:
         return p.omega * q
@@ -340,6 +348,7 @@ def confined_energy(p: ConfinedParams, N: int, q: float) -> float:
 
 def confined_phi(p: ConfinedParams, N: int, lam: float) -> float:
     """phi = 2 sqrt(1 + 2 G(Y(lambda))/Y(lambda)); exactly 2 at g = 0."""
+    require_particle_count(N)
     require_finite_positive("lambda", lam)
     if p.g == 0.0:
         return 2.0
@@ -409,12 +418,14 @@ def _radicand(p: BaryonParams, N: int, q: float) -> float:
 
 def baryon_energy(p: BaryonParams, N: int, q: float) -> float:
     """Closed-form upper bound E = 2 sqrt(k (N q - C^(3/2) g))."""
+    require_particle_count(N)
     require_finite_positive("q", q)
     return math.sqrt(4.0 * p.tension_k) * math.sqrt(_radicand(p, N, q))
 
 
 def baryon_phi(p: BaryonParams, N: int, lam: float) -> float:
     """phi = sqrt(2 - sqrt(N (N-1)^3) g / (sqrt(2) lambda))."""
+    require_particle_count(N)
     require_finite_positive("lambda", lam)
     radicand = 2.0 - math.sqrt(N * (N - 1.0) ** 3) * p.g / (math.sqrt(2.0) * lam)
     if radicand <= 0.0:

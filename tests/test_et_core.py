@@ -4,6 +4,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ def _scan(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
     return _cells(et_core._mismatch_on_grid(spec, q))
 
 
+def _scalar_only(fn):
+    """fn, refusing array arguments as a math.* callable would."""
+    def wrapped(x):
+        if np.ndim(x):
+            raise TypeError("scalar argument expected")
+        return fn(x)
+    return wrapped
+
+
+def _assert_pointwise_rhs_cached(spec: SystemSpec) -> None:
+    # the right side that the last scan cached belongs to spec and equals
+    # one scalar evaluation per grid point
+    cached, rhs = et_core._grid_rhs
+    assert cached is spec
+    np.testing.assert_array_equal(rhs, [et_core._rhs(spec, r) for r in et_core._GRID_POINTS])
+
+
 _FAMILIES = {
     "powerlaw2": [
         powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=b), n)
@@ -231,8 +249,8 @@ class TestBracketScan:
         for spec in _FAMILIES[family]:
             for q in _Q_GRID:
                 assert _scan(spec, q) == _loop_brackets(spec, q)
-                pointwise = _cells(et_core._pointwise(
-                    lambda r: et_core._mismatch(spec, q, r), et_core._GRID_POINTS
+                pointwise = _cells(et_core._on_points(
+                    _scalar_only(lambda r: et_core._mismatch(spec, q, r)), et_core._GRID
                 ))
                 assert pointwise == _loop_brackets(spec, q)
 
@@ -267,7 +285,7 @@ class TestBracketScan:
         with pytest.raises(TypeError):
             et_core._mismatch(spec, 1.5, np.array([1.0, 2.0]))
         assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
-        assert et_core._grid_rhs[0] is not spec
+        _assert_pointwise_rhs_cached(spec)
         assert _scan(spec, 1.5) == _scan(builtin, 1.5)
         assert energy(spec, 1.5).E == pytest.approx(
             gaussian_energy(params, 2, 1.5), rel=1e-10
@@ -335,10 +353,37 @@ class TestBracketScan:
         spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
         assert np.shape(et_core._mismatch(spec, 1.5, et_core._GRID)) == (961, 961)
         assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
-        assert et_core._grid_rhs[0] is not spec
-        cached = et_core._grid_rhs[1]
-        assert cached is None or cached.shape == (961,)
+        _assert_pointwise_rhs_cached(spec)
         assert energy(spec, 1.5).E == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
+
+
+class TestOnPoints:
+    """The one evaluator behind the scan grid, the oracle mesh and its probes."""
+
+    X = np.array([0.5, 1.0, 2.0, 800.0])
+
+    def test_overflow_reads_as_inf(self):
+        v = et_core._on_points(math.exp, self.X)
+        assert v[:3].tolist() == [math.exp(x) for x in self.X[:3]]
+        assert v[3] == math.inf
+
+    @pytest.mark.parametrize("error", [ValueError, ZeroDivisionError])
+    def test_value_and_zero_division_errors_read_as_nan(self, error):
+        def fn(x):
+            if np.ndim(x) or x == 1.0:
+                raise error("undefined")
+            return x
+
+        v = et_core._on_points(fn, self.X)
+        assert np.isnan(v[1]) and v[[0, 2, 3]].tolist() == [0.5, 2.0, 800.0]
+
+    def test_numpy_scalar_overflow_is_silent(self):
+        # scalar calls of np.exp overflow to inf with a RuntimeWarning,
+        # which the per-point loop must not let out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = et_core._on_points(_scalar_only(np.exp), self.X)
+        assert v[3] == math.inf
 
 
 class TestGridRhsReuse:

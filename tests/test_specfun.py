@@ -7,7 +7,8 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etkit import DomainError, beta, lambert_w0, quartic_root_g
+from etkit import ConvergenceError, DomainError, beta, lambert_w0, quartic_root_g
+from etkit import specfun
 
 BRANCH = -math.exp(-1.0)
 
@@ -107,7 +108,15 @@ class TestQuarticRoot:
         with pytest.raises(DomainError):
             quartic_root_g(-1.0)
 
-    @given(st.floats(min_value=1e-6, max_value=1e6))
+    def test_residual_out_of_tolerance_raises(self, monkeypatch):
+        # a resolvent root off by 1 % leaves the quartic residual far out
+        # of tolerance
+        cubic_v = specfun._cubic_v
+        monkeypatch.setattr(specfun, "_cubic_v", lambda y: 1.01 * cubic_v(y))
+        with pytest.raises(ConvergenceError, match="did not reach tolerance"):
+            quartic_root_g(1.0)
+
+    @given(st.floats(min_value=0.0, max_value=1e300))
     @settings(max_examples=150)
     def test_root_property(self, y):
         x = quartic_root_g(y)

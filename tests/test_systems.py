@@ -28,6 +28,7 @@ from etkit import (
     gaussian_harmonic_limit,
     gaussian_phi,
     gaussian_system,
+    gaussian_y,
     powerlaw1_energy,
     powerlaw1_phi,
     powerlaw1_system,
@@ -275,6 +276,32 @@ class TestNonFiniteInputs:
     def test_closed_forms_reject(self, closed_form, bad):
         with pytest.raises(DomainError):
             self.CLOSED_FORMS[closed_form](bad)
+
+    # every public closed form that takes N: powerlaw2_energy(p, 1, 3.0)
+    # returned 0.0, N = nan gave nan, and the Gaussian and confined forms
+    # raised a raw ZeroDivisionError at N = 1
+    TAKE_N = [
+        (powerlaw2_energy, PowerLaw2Params(m=1.0, a=1.0, b=1.0)),
+        (powerlaw1_energy, PowerLaw1Params(a=1.0, b=1.0)),
+        (gaussian_y, GaussianParams(m=1.0, V0=5.0, R=2.0)),
+        (gaussian_energy, GaussianParams(m=1.0, V0=5.0, R=2.0)),
+        (gaussian_phi, GaussianParams(m=1.0, V0=5.0, R=2.0)),
+        (gaussian_harmonic_limit, GaussianParams(m=1.0, V0=5.0, R=2.0)),
+        (confined_y, ConfinedParams(m=1.0, omega=1.0, g=0.5)),
+        (confined_energy, ConfinedParams(m=1.0, omega=1.0, g=0.5)),
+        (confined_energy, ConfinedParams(m=1.0, omega=1.0, g=0.0)),
+        (confined_phi, ConfinedParams(m=1.0, omega=1.0, g=0.5)),
+        (confined_phi, ConfinedParams(m=1.0, omega=1.0, g=0.0)),
+        (baryon_energy, BaryonParams(tension_k=0.2, g=0.1)),
+        (baryon_phi, BaryonParams(tension_k=0.2, g=0.1)),
+    ]
+
+    @pytest.mark.parametrize("n_body", [1, 0, 2.5, math.nan])
+    @pytest.mark.parametrize("closed_form", range(len(TAKE_N)))
+    def test_closed_forms_reject_particle_count(self, closed_form, n_body):
+        fn, params = self.TAKE_N[closed_form]
+        with pytest.raises(DomainError, match="need at least two particles"):
+            fn(params, n_body, 3.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_couplings_reject(self, bad):
