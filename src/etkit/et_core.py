@@ -15,6 +15,7 @@ root-finding problem in r0, which is what this module solves.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable
 
 import numpy as np
@@ -103,15 +104,18 @@ def _mismatch_on_grid(spec: SystemSpec, q: float) -> np.ndarray:
     """Mismatch on the scan grid, through _on_points.
 
     The q-independent right side on the grid is reused while the same
-    spec object is scanned again; a per-point evaluation of the mismatch
-    recomputes it at each point.
+    spec object is scanned again, by an array call and point by point
+    alike; the subtraction stays inside _on_points' warning guard.
     """
     global _grid_rhs
     cached, rhs = _grid_rhs
     if cached is not spec:
         rhs = _on_points(lambda r: _rhs(spec, r), _GRID)
         _grid_rhs = (spec, rhs)
-    return _on_points(lambda r: _lhs(spec, q, r) - (rhs if r is _GRID else _rhs(spec, r)), _GRID)
+    return _on_points(
+        lambda r: _lhs(spec, q, r) - (rhs if r is _GRID else rhs[bisect_left(_GRID_POINTS, r)]),
+        _GRID,
+    )
 
 
 def _brackets(f: np.ndarray) -> list[tuple[float, float, float, float]]:

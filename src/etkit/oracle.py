@@ -13,11 +13,17 @@ holds no bound level, and is returned without that refinement.
 
 Nothing here touches the envelope machinery beyond that generic root
 finder: this is the reference the approximate energies and their
-variational tags are tested against.  The scheme is deliberately the
-simplest one with a controllable error: global accuracy is O(h^4) in
-the mesh step, and the box is grown until the classical turning point
-sits below 60% of it and the WKB tail suppression beyond that point is
-strong enough not to bias the eigenvalue.
+variational tags are tested against.  On a caller-fixed mesh the error
+is O(h^4) in the step h.  Otherwise one call samples V on a log grid
+from 1e-3 / sqrt(mu) to 1e7: where V_eff never dips below V's limit at
+large r there is no level (NoBoundState at once), and the first box
+reaches twice as far as the lowest V_eff.  A box of length L gets 40 L
+points, within [1000, 25000], raised to keep the Numerov factor >= 1/2
+above that lowest V_eff; it grows until the classical turning point is
+within 60% of it and the WKB tail action beyond is >= 15.  The final
+box is solved again on twice its n points, from +-1e-6 around E(n): the
+error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6), and
+|E(2n) - E(n)| bounds it (ConvergenceError above 1e-6 max(1, |E|)).
 
 One Numerov driver (_numerov) runs every pass, on y = f u, and checks
 for overflow once per chunk of steps instead of at every step.  The
@@ -80,28 +86,32 @@ _WKB_TOL = 1e-3 * min(_SEED_SPAN, _SKIP_MARGIN)
 _CHUNK = 2048
 # tolerance of a level: relative above |E| = 1, absolute below
 _ETOL = 1e-13
+# largest change of an adaptive level from n to 2n mesh points, relative
+# above |E| = 1 and absolute below; most points of an adaptive mesh
+_RICHARDSON_TOL = 1e-6
+_MAX_POINTS = 1 << 20
 
 # one Numerov shot: (energy, interior node count, u at the box edge)
 _Shot = tuple[float, int, float]
 
 
-def _asymptote(potential: InteractionTriple) -> float:
-    """Potential value at the largest probe radius that evaluates finitely.
+def _probe(potential: InteractionTriple, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Radii, V at them, and V's large-distance limit, from one call.
 
-    Confining potentials report a huge or infinite value (an overflow
-    reads as inf), so the bound-state check against this limit never
-    fires for them.  A probe that is undefined (NaN, or a ValueError or
-    ZeroDivisionError) raises DomainError.
+    400 radii run from 1e-3 / sqrt(mu) to 1e5, then 1e6 and 1e7.  The limit
+    is V at the largest of the last three before an inf (an overflow), so
+    none is found for a confining potential; a NaN there is a DomainError.
     """
+    radii = np.append(np.geomspace(1e-3 / math.sqrt(mu), 1e5, 400), (1e6, 1e7))
+    values = _on_points(potential.value, radii)
     limit = math.inf
-    radii = (1e5, 1e6, 1e7)
-    for radius, value in zip(radii, _on_points(potential.value, np.array(radii)).tolist()):
+    for radius, value in zip(radii[-3:].tolist(), values[-3:].tolist()):
         if math.isnan(value):
             raise DomainError(f"the potential is not finite at r={radius:g}")
         if math.isinf(value):
             break
         limit = value
-    return limit
+    return radii, values, limit
 
 
 def _unbound(e: float, asym: float) -> bool:
@@ -215,6 +225,7 @@ class _Shooter:
         if bad.size:
             raise DomainError(f"the potential is not finite at {bad.size} mesh "
                               f"points, the first at r={self.r[bad[0]]:.6g}")
+        self.v_max = float(np.max(v[1:]))
         cent = np.zeros_like(self.r)
         if l > 0:
             cent[1:] = l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
@@ -415,9 +426,10 @@ def radial_eigenvalue(
 
     mu is the reduced mass; the potential must support the requested
     bound state (NoBoundState otherwise).  rmax/npoints override the
-    adaptive box and mesh, which the convergence tests use to measure
-    the O(h^4) error scaling directly; both must be positive and finite,
-    npoints a whole number.  The level is found to _ETOL = 1e-13,
+    adaptive box and mesh; a fixed npoints returns the Numerov level of
+    that mesh unextrapolated, which the convergence tests use to measure
+    the O(h^4) error scaling directly.  Both must be positive and finite,
+    npoints a whole number.  Each Numerov level is found to _ETOL = 1e-13,
     relative above |E| = 1 and absolute below.  A potential that is not
     finite, or raises an arithmetic error, at a mesh point raises
     DomainError, and so does, on a fixed box, a mesh whose Numerov factor
@@ -435,15 +447,30 @@ def radial_eigenvalue(
         npoints = int(npoints)
 
     laurent = _laurent_coeffs(potential)
-    asym = _asymptote(potential)
+    # no level lies below min V_eff, and the first box reaches twice as far out
+    radii, values, asym = _probe(potential, mu)
+    veff = values + l * (l + 1) / (2.0 * mu * radii**2)
+    dip = int(np.nanargmin(veff))
+    bottom = float(veff[dip])
+    if _unbound(bottom, asym):
+        raise NoBoundState(f"V_eff for l={l} does not dip below the asymptotic "
+                           f"potential ({bottom:.6g} >= {asym:.6g})")
     fixed_box = rmax is not None
-    box = rmax if fixed_box else 10.0 / math.sqrt(mu)
+    box = rmax if fixed_box else max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip]))
     unbound_rounds = 0
     e = None
 
     for _ in range(_MAX_BOX_GROWTHS):
-        n = npoints if npoints is not None else int(min(25000.0, max(4000.0, 160.0 * box)))
+        n = npoints if npoints is not None else int(min(25000.0, max(1000.0, 40.0 * box)))
         shooter = _Shooter(mu, potential, l, box, n, laurent)
+        # an adaptive mesh keeps the Numerov factor f >= 1/2 at every
+        # energy above the bottom of V_eff: mu h^2 (V - E) / 6 <= 1/2
+        floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
+        if npoints is None and floor > n:
+            if floor > _MAX_POINTS:
+                raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
+            n = math.ceil(floor)
+            shooter = _Shooter(mu, potential, l, box, n, laurent)
         guess, span = e, _WARM_SPAN
         if e is None:
             # no level shot yet: skip the boxes WKB already rules out,
@@ -491,4 +518,12 @@ def radial_eigenvalue(
         raise ConvergenceError(
             f"converged level has {nodes_below} nodes, expected {n_r}"
         )
-    return e
+    if npoints is not None:
+        return e
+    # E(2n) is bracketed by the largest change accepted, which bounds the error
+    fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(
+        n_r, guess=e, span=_RICHARDSON_TOL, asym=asym)
+    if abs(fine - e) > _RICHARDSON_TOL * max(1.0, abs(e)):
+        raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
+                               f"the {n} mesh points of rmax={box:.6g}")
+    return (16.0 * fine - e) / 15.0

@@ -419,6 +419,28 @@ class TestGridRhsReuse:
                 et_core._mismatch_on_grid(spec, q), self._fresh(spec, q)
             )
 
+    def test_scalar_only_kinetic_reuses_the_cached_rhs(self, monkeypatch):
+        # the per-point mismatch recomputed the right side at every grid
+        # point: 967 pair-derivative calls on the first solve, 966 on a
+        # repeat, where Brent and the residual check need only a few
+        monkeypatch.setattr(et_core, "_grid_rhs", (None, None))
+        base = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2)
+        calls = [0]
+
+        def d1(r):
+            calls[0] += 1
+            return base.pairwise.d1(r)
+
+        spec = dataclasses.replace(
+            base,
+            kinetic=dataclasses.replace(base.kinetic, d1=_scalar_only(base.kinetic.d1)),
+            pairwise=dataclasses.replace(base.pairwise, d1=d1),
+        )
+        first = solve_radius(spec, 1.5)
+        calls[0] = 0
+        assert solve_radius(spec, 1.5) == first
+        assert calls[0] <= 10
+
     def test_brent_starts_from_the_scan_values(self):
         # for N = 2 the pair derivative is called at the radius itself, so
         # its scalar calls show every point Brent evaluates

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ai_zeros
 
 from etkit import (
+    ConvergenceError,
     DomainError,
     InteractionTriple,
     NoBoundState,
@@ -239,14 +240,16 @@ class TestSweepBudget:
     @pytest.mark.parametrize(
         "value,l,n_r,ceiling",
         [
-            (lambda r: -10.0 * math.exp(-r * r), 3, 0, 85),
-            (lambda r: -2.0 * math.exp(-0.3 * r) / r, 5, 1, 60),
+            (lambda r: -10.0 * math.exp(-r * r), 3, 0, 0),
+            (lambda r: -2.0 * math.exp(-0.3 * r) / r, 5, 1, 0),
         ],
         ids=["gaussian_l3", "yukawa_l5"],
     )
     def test_unbound_rounds_skip_the_edge_refinement(self, monkeypatch, value, l, n_r, ceiling):
-        # converging every unbound round took 107 and 104 sweeps; a
-        # bracket whose lower end is already unbound now ends the round
+        # converging every unbound round took 107 and 104 sweeps, and
+        # ending a round at an unbound lower bracket end still 80 and 50;
+        # V_eff never dips below the asymptote here, which the probe of
+        # V_eff sees before any sweep
         count = _count_sweeps(monkeypatch)
         well = InteractionTriple(value, OSC.d1, OSC.d2, "well")
         with pytest.raises(NoBoundState):
@@ -256,8 +259,9 @@ class TestSweepBudget:
     def test_coulomb_potential_calls(self):
         # one call for both Laurent points near the origin (two when each
         # point was a scalar call, four when each was sampled twice), one
-        # for the three asymptote probes (three scalar calls before) and
-        # one array call for each of the five boxes
+        # for the probe of V_eff that also holds the three far-field
+        # points (three scalar calls before), one array call for each of
+        # the five boxes and one for the final box on twice the points
         calls = [0]
 
         def value(r):
@@ -267,7 +271,7 @@ class TestSweepBudget:
         counted = InteractionTriple(value, COULOMB.d1, COULOMB.d2, "-1/r")
         level = radial_eigenvalue(0.5, counted, l=0, n_r=1)
         assert level == pytest.approx(-0.0625, abs=1e-9)
-        assert calls[0] <= 7
+        assert calls[0] <= 8
 
 
 # two-body levels (b, n_r, l) whose exact value is known: oscillator,
@@ -304,14 +308,15 @@ class TestExactLevels:
 
     @pytest.mark.parametrize(
         "l,n_r,level",
-        [(0, 0, 1.5339262848777035), (0, 2, 10.35898916385178),
-         (1, 1, 7.520053503417539), (2, 2, 16.107581797833838)],
+        [(0, 0, 1.533926284879376863), (0, 2, 10.358989164350878285),
+         (1, 1, 7.5200535035592592452), (2, 2, 16.107581798805932337)],
     )
     def test_sextic_levels(self, l, n_r, level):
-        # V = r^6 at mu = 2, whose boxes keep f > 0 on the whole mesh (at
-        # mu = 0.5 the first box does not: see TestSweep); pinned at the
-        # levels found when the node pass still ran on |f| u
-        assert radial_eigenvalue(2.0, SEXTIC, l=l, n_r=n_r) == pytest.approx(level, rel=1e-12)
+        # V = r^6 at mu = 2; the references sum the power series of u
+        # (tests/data/series_levels.py) and are certain to 1e-21, while
+        # fixed-box Numerov solves of 10 000 to 80 000 points wander by up
+        # to 1e-9 relative
+        assert radial_eigenvalue(2.0, SEXTIC, l=l, n_r=n_r) == pytest.approx(level, rel=1e-10)
 
     @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
     @pytest.mark.parametrize("n_r", [0, 1])
@@ -320,6 +325,25 @@ class TestExactLevels:
         # stopped growing too early: -0.0334806 for a = 1.1, n_r = 0
         level = radial_eigenvalue(0.5, _power_pair(-1.0, a), l=2, n_r=n_r)
         assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, 2), rel=1e-8)
+
+
+class TestSteepPotential:
+    @pytest.mark.parametrize("l,n_r", [(0, 0), (0, 3), (5, 3)])
+    def test_sextic_levels_at_small_mass(self, l, n_r):
+        # V = r^6 at mu = 0.5: the first box had Numerov factor f < 0 over
+        # its last ~30 %, and each level raised ConvergenceError("could not
+        # bracket the level from below"); the spectrum at mu = 0.5 is that
+        # at mu = 2 times 4^(3/4)
+        level = radial_eigenvalue(0.5, SEXTIC, l=l, n_r=n_r)
+        reference = radial_eigenvalue(2.0, SEXTIC, l=l, n_r=n_r)
+        assert level == pytest.approx(4.0 ** 0.75 * reference, rel=1e-9)
+
+    def test_mesh_too_large_to_build_is_refused(self):
+        # e^(r^2) reaches 7e86 at the edge of the first box: keeping the
+        # Numerov factor positive would take ~1.5e44 points
+        steep = InteractionTriple(lambda r: np.exp(r * r), OSC.d1, OSC.d2, "e^(r^2)")
+        with pytest.raises(ConvergenceError, match="mesh points needed"):
+            radial_eigenvalue(0.5, steep, l=0, n_r=0)
 
 
 class TestHighOrbital:
@@ -368,9 +392,11 @@ class TestPotentialSampling:
 
         pot = InteractionTriple(value, OSC.d1, OSC.d2, "r^2")
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
-        # the two origin probes, the three far-field probes, then the mesh
-        # of the one box
-        assert shapes == [(2,), (3,), (_box(0)[1],)]
+        # the two origin probes, the probe of V_eff with the three
+        # far-field points at its end, the mesh of the one box, then that
+        # box on twice the points
+        n = _box(0)[1]
+        assert shapes == [(2,), (402,), (n,), (2 * n,)]
 
     @pytest.mark.parametrize(
         "value",
@@ -436,7 +462,7 @@ class TestNonFinitePotential:
         # a scalar potential too large to represent at the large-distance
         # probes confines; only an undefined value there is an error
         pot = InteractionTriple(lambda r: math.exp(r / 3.0), OSC.d1, OSC.d2, "e^(r/3)")
-        assert oracle._asymptote(pot) == math.inf
+        assert oracle._probe(pot, 0.5)[2] == math.inf
         assert math.isfinite(radial_eigenvalue(0.5, pot, l=0, n_r=0))
 
     def test_numpy_overflow_far_out_is_silent(self):
@@ -448,7 +474,8 @@ class TestNonFinitePotential:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             level = radial_eigenvalue(0.5, pot, l=0, n_r=0)
-        assert level == pytest.approx(2.3980813954448883, rel=1e-12)
+        # reference from the power series of u (tests/data/series_levels.py)
+        assert level == pytest.approx(2.3980813954521659821, rel=1e-10)
 
     def test_numpy_asymptote_is_a_float(self):
         # a potential written with np.exp returns np.float64 at the probes;
@@ -456,14 +483,23 @@ class TestNonFinitePotential:
         pot = InteractionTriple(
             lambda r: 1.0 - np.exp(-r), lambda r: np.exp(-r), lambda r: -np.exp(-r), "1-e^-r"
         )
-        asym = oracle._asymptote(pot)
+        asym = oracle._probe(pot, 0.5)[2]
         assert type(asym) is float and asym == 1.0
 
 
 def _box(growths: int, mu: float = 0.5) -> tuple[float, int]:
-    """The adaptive box after some growths, and the mesh it gets."""
+    """The adaptive box after some growths, and the mesh it gets.
+
+    As for a potential whose V_eff bottoms out within 5 / sqrt(mu), and
+    which is too gentle for the floor of steep potentials to raise the mesh.
+    """
     box = 10.0 / math.sqrt(mu) * 1.8**growths
-    return box, int(min(25000.0, max(4000.0, 160.0 * box)))
+    return box, int(min(25000.0, max(1000.0, 40.0 * box)))
+
+
+def _richardson(coarse: float, fine: float) -> float:
+    """The level from a solve on n and on 2n mesh points of one box."""
+    return (16.0 * fine - coarse) / 15.0
 
 
 class TestWkbStart:
@@ -501,25 +537,30 @@ class TestWkbStart:
         _wrap_passes(monkeypatch, lambda f: swept_meshes.add(len(f) - 1))
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
         box, n = _box(growths)
-        # the two probe calls, then one array call per box, and sweeps
-        # only on the mesh of the box that is kept (every box of this
-        # level has its own mesh size)
-        assert array_calls[:2] == [2, 3]
-        assert array_calls[2:] == [_box(k)[1] for k in range(growths + 1)]
-        assert swept_meshes == {n}
-        fixed = radial_eigenvalue(0.5, pot, l=1, n_r=1, rmax=box, npoints=n)
-        assert adaptive == pytest.approx(fixed, rel=1e-12)
+        # the two probe calls, then one array call per box and one for
+        # the kept box on twice the points, and sweeps only on the meshes
+        # of the box that is kept (every box of this level has its own
+        # mesh size)
+        assert array_calls[:2] == [2, 402]
+        assert array_calls[2:] == [_box(k)[1] for k in range(growths + 1)] + [2 * n]
+        assert swept_meshes == {n, 2 * n}
+        fixed = [radial_eigenvalue(0.5, pot, l=1, n_r=1, rmax=box, npoints=k) for k in (n, 2 * n)]
+        assert adaptive == pytest.approx(_richardson(*fixed), rel=1e-12)
 
     def test_estimate_missing_the_seeded_bracket(self):
         # the b = 3 ground state lies 1.2 % above its estimate, outside the
-        # seeded bracket: the bracket widens and finds the cold level
+        # seeded bracket: the bracket widens and finds the cold level, and
+        # the same extrapolation with the box on twice the points follows
         pot = _power_pair(3.0, 1.0)
         box, n = _box(0)
         shooter = oracle._Shooter(0.5, pot, 0, box, n, oracle._laurent_coeffs(pot))
         estimate = shooter.wkb_level(0)
         cold = shooter.solve(0)
         assert abs(cold - estimate) > oracle._SEED_SPAN * abs(estimate)
-        assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(cold, rel=1e-12)
+        fine = oracle._Shooter(0.5, pot, 0, box, 2 * n, oracle._laurent_coeffs(pot)).solve(0)
+        assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(
+            _richardson(cold, fine), rel=1e-12
+        )
 
     @pytest.mark.parametrize("l,n_r", [(0, 7), (1, 6), (3, 4), (0, 10)])
     def test_high_coulomb_levels(self, l, n_r):
@@ -528,6 +569,16 @@ class TestWkbStart:
         # rounds; the boxes WKB rules out are now skipped unshot
         level = radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r)
         assert level == pytest.approx(-0.25 / (n_r + l + 1) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("l,n_r", [(10, 0), (40, 0), (8, 2), (5, 5), (4, 3)])
+    def test_levels_past_the_centrifugal_minimum(self, l, n_r, a):
+        # the first box lay inside the centrifugal minimum, V_eff at its
+        # edge above the asymptote, and the levels squeezed into the boxes
+        # used up the unbound rounds: NoBoundState for levels that exist
+        # (all but (4, 3) at a = 1.0 and 1.1)
+        level = radial_eigenvalue(0.5, _power_pair(-1.0, a), l=l, n_r=n_r)
+        assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-9)
 
     def test_phase_evaluation_budget(self, monkeypatch):
         # solving the estimate to 1e-10 took 53 phase integrals over the
@@ -701,8 +752,9 @@ class TestSweep:
     @pytest.mark.parametrize("l", [0, 3])
     @pytest.mark.parametrize("e", [1.0, 20.0, 300.0])
     def test_node_pass_where_f_turns_negative_at_the_edge(self, l, e):
-        # V = r^6 in the first adaptive box at mu = 0.5: f < 0 over the
-        # last ~30 % of the mesh, where the pass still counts sign changes
+        # V = r^6 at mu = 0.5 in the first adaptive box, on the mesh it
+        # would get without the floor for steep potentials: f < 0 over the
+        # last ~55 % of the mesh, where the pass still counts sign changes
         # of y = f u, and the recurrence outgrows the rescale
         shooter = oracle._Shooter(0.5, SEXTIC, l, *_box(0), oracle._laurent_coeffs(SEXTIC))
         f, u_start, first_term, i0 = shooter._numerov_input(e)
