@@ -22,7 +22,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import EtkitError
+from .errors import DomainError, EtkitError
 from .model import QuantumNumbers, SystemSpec, nu_lambda
 from .systems import FAMILIES, BaryonParams, bsq_ratio_coeffs, confined_ground_shift, table1
 
@@ -160,13 +160,12 @@ def _build_system(settings: dict[str, str]) -> tuple[SystemSpec, float]:
 
     n_body = _to_int("N", _need(settings, "N", name))
     dim = _to_int("D", settings.get("D", "3"))
-    if n_body < 2:
-        raise ConfigError(f"N must be at least 2, got {n_body}")
-    if dim < 2:
-        raise ConfigError(f"D must be at least 2, got {dim}")
-
-    params = _params(name, settings)
-    spec = FAMILIES[name][1](params, n_body, dim)
+    # the library checks every value; here a bad one is a configuration error
+    try:
+        params = _params(name, settings)
+        spec = FAMILIES[name][1](params, n_body, dim)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     shift = 0.0
     if _to_bool("ground_shift", settings.get("ground_shift", "false")):
         shift = confined_ground_shift(params, dim)
@@ -201,9 +200,10 @@ def _quantum_input(settings: dict[str, str], spec: SystemSpec):
         raise ConfigError("n_sum and l_sum must be given together")
     n_sum = _to_int("n_sum", settings["n_sum"])
     l_sum = _to_int("l_sum", settings["l_sum"])
-    if n_sum < 0 or l_sum < 0:
-        raise ConfigError("n_sum and l_sum must be non-negative")
-    qn = QuantumNumbers.from_sums(n_sum, l_sum)
+    try:
+        qn = QuantumNumbers.from_sums(n_sum, l_sum)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     return "nl", nu_lambda(qn, spec)
 
 

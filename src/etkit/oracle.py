@@ -13,8 +13,10 @@ holds no bound level, and is returned without that refinement.
 
 Nothing here touches the envelope machinery beyond that generic root
 finder: this is the reference the approximate energies and their
-variational tags are tested against.  On a caller-fixed mesh the error
-is O(h^4) in the step h.  Otherwise one call samples V on a log grid
+variational tags are tested against.  A caller's mesh (rmax and npoints,
+both or neither) is checked once, before any pass, for a Numerov factor
+f <= 0 at the lowest V_eff on it, and its level has an error O(h^4) in
+the step h.  Otherwise one call samples V on a log grid
 from 1e-3 / sqrt(mu) to 1e7: where V_eff never dips below V's limit at
 large r there is no level (NoBoundState at once), and the first box
 reaches twice as far as the lowest V_eff.  A box of length L gets 40 L
@@ -425,23 +427,26 @@ def radial_eigenvalue(
     """Eigenvalue with n_r radial nodes and orbital momentum l.
 
     mu is the reduced mass; the potential must support the requested
-    bound state (NoBoundState otherwise).  rmax/npoints override the
-    adaptive box and mesh; a fixed npoints returns the Numerov level of
-    that mesh unextrapolated, which the convergence tests use to measure
-    the O(h^4) error scaling directly.  Both must be positive and finite,
-    npoints a whole number.  Each Numerov level is found to _ETOL = 1e-13,
-    relative above |E| = 1 and absolute below.  A potential that is not
-    finite, or raises an arithmetic error, at a mesh point raises
-    DomainError, and so does, on a fixed box, a mesh whose Numerov factor
-    is not positive at some point at the level found.
+    bound state (NoBoundState otherwise).  rmax and npoints, both or
+    neither, replace the adaptive box and mesh (one alone is a DomainError
+    before the potential is called); that mesh's Numerov level is returned
+    unextrapolated, which the convergence tests use to measure the O(h^4)
+    error scaling directly.  Both must be positive and finite, npoints a
+    whole number, and the Numerov factor at the lowest V_eff on the mesh
+    positive from i0 on (DomainError before any pass otherwise).  Each
+    Numerov level is found to _ETOL = 1e-13, relative above |E| = 1 and
+    absolute below.  A potential that is not finite, or raises an
+    arithmetic error, at a mesh point raises DomainError.
     """
     require_finite_positive("reduced mass", mu)
     if l < 0 or n_r < 0:
         raise DomainError(f"quantum numbers must be >= 0, got l={l!r}, n_r={n_r!r}")
-    for name, value in (("rmax", rmax), ("npoints", npoints)):
-        if value is not None:
-            require_finite_positive(name, value)
-    if npoints is not None:
+    fixed = rmax is not None
+    if fixed != (npoints is not None):
+        raise DomainError(f"give rmax and npoints together or neither, got {rmax!r}, {npoints!r}")
+    if fixed:
+        require_finite_positive("rmax", rmax)
+        require_finite_positive("npoints", npoints)
         if npoints != int(npoints):
             raise DomainError(f"npoints must be a whole number, got {npoints!r}")
         npoints = int(npoints)
@@ -455,28 +460,38 @@ def radial_eigenvalue(
     if _unbound(bottom, asym):
         raise NoBoundState(f"V_eff for l={l} does not dip below the asymptotic "
                            f"potential ({bottom:.6g} >= {asym:.6g})")
-    fixed_box = rmax is not None
-    box = rmax if fixed_box else max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip]))
+    box = rmax if fixed else max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip]))
     unbound_rounds = 0
     e = None
 
     for _ in range(_MAX_BOX_GROWTHS):
-        n = npoints if npoints is not None else int(min(25000.0, max(1000.0, 40.0 * box)))
+        n = npoints if fixed else int(min(25000.0, max(1000.0, 40.0 * box)))
         shooter = _Shooter(mu, potential, l, box, n, laurent)
-        # an adaptive mesh keeps the Numerov factor f >= 1/2 at every
-        # energy above the bottom of V_eff: mu h^2 (V - E) / 6 <= 1/2
-        floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
-        if npoints is None and floor > n:
-            if floor > _MAX_POINTS:
-                raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
-            n = math.ceil(floor)
-            shooter = _Shooter(mu, potential, l, box, n, laurent)
+        if fixed:
+            # where the Numerov factor f is not positive, u flips sign at
+            # every step and each flip reads as a node; f rises with E, so a
+            # check at the lowest V_eff on the mesh covers every level above it
+            lowest = float(np.min(shooter.veff[shooter.start:]))
+            steep = np.flatnonzero(shooter._numerov_input(lowest)[0][shooter.start:] <= 0.0)
+            if steep.size:
+                raise DomainError(f"npoints={n} is too few for rmax={box:.6g}: the Numerov factor "
+                                  f"at E={lowest:.6g} is not positive at {steep.size} mesh points, "
+                                  f"the first at r={shooter.r[shooter.start + steep[0]]:.6g}")
+        else:
+            # an adaptive mesh keeps f >= 1/2 at every energy above the
+            # bottom of V_eff: mu h^2 (V - E) / 6 <= 1/2
+            floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
+            if floor > n:
+                if floor > _MAX_POINTS:
+                    raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
+                n = math.ceil(floor)
+                shooter = _Shooter(mu, potential, l, box, n, laurent)
         guess, span = e, _WARM_SPAN
         if e is None:
             # no level shot yet: skip the boxes WKB already rules out,
             # and seed the first solved box with the estimate
             guess, span = shooter.wkb_level(n_r), _SEED_SPAN
-            if not fixed_box and shooter.too_small(guess, asym):
+            if not fixed and shooter.too_small(guess, asym):
                 box *= 1.8
                 continue
         e = shooter.solve(n_r, guess=guess, span=span, asym=asym)
@@ -485,27 +500,14 @@ def radial_eigenvalue(
         # was being squeezed
         if _unbound(e, asym):
             unbound_rounds += 1
-            if fixed_box or unbound_rounds >= _MAX_UNBOUND_ROUNDS:
+            if fixed or unbound_rounds >= _MAX_UNBOUND_ROUNDS:
                 raise NoBoundState(
                     f"no level with n_r={n_r}, l={l} below the asymptotic "
                     f"potential ({e:.6g} >= {asym:.6g})"
                 )
             box *= 1.8
             continue
-        if fixed_box:
-            # where the Numerov factor is not positive, u flips sign at
-            # every step and each flip reads as a node, so the count that
-            # identified this level cannot be trusted
-            steep = np.flatnonzero(shooter._numerov_input(e)[0][shooter.start:] <= 0.0)
-            if steep.size:
-                raise DomainError(
-                    f"the Numerov factor at E={e:.6g} is not positive at "
-                    f"{steep.size} mesh points, the first at "
-                    f"r={shooter.r[shooter.start + steep[0]]:.6g}: "
-                    f"npoints={n} is too few for rmax={box:.6g}"
-                )
-            break
-        if shooter.holds(e):
+        if fixed or shooter.holds(e):
             break
         box *= 1.8
     else:
@@ -513,12 +515,14 @@ def radial_eigenvalue(
             f"box did not stabilise below rmax={box:.6g}; is the state bound?"
         )
 
+    if fixed and e < lowest:
+        raise DomainError(f"the level {e:.6g} lies below V_eff on the mesh, {lowest:.6g}")
     nodes_below = shooter.shoot(e - 10.0 * _ETOL * max(1.0, abs(e)))[0]
     if nodes_below != n_r:
         raise ConvergenceError(
             f"converged level has {nodes_below} nodes, expected {n_r}"
         )
-    if npoints is not None:
+    if fixed:
         return e
     # E(2n) is bracketed by the largest change accepted, which bounds the error
     fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(

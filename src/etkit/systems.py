@@ -84,6 +84,28 @@ _ULTRAREL_KINETIC = InteractionTriple(
 )
 
 
+def _power(c: float, b: float, label: str) -> InteractionTriple:
+    """c x^b and its two derivatives."""
+    return InteractionTriple(
+        value=lambda x: c * x ** b,
+        d1=lambda x: c * b * x ** (b - 1.0),
+        d2=lambda x: c * b * (b - 1.0) * x ** (b - 2.0),
+        label=label,
+    )
+
+
+def _coulomb(c: float) -> InteractionTriple:
+    """c / r and its two derivatives; the zero triple at c = 0."""
+    if c == 0.0:
+        return InteractionTriple.zero()
+    return InteractionTriple(
+        value=lambda r: c / r,
+        d1=lambda r: -c / (r * r),
+        d2=lambda r: 2.0 * c / (r * r * r),
+        label=f"{c:g}/r",
+    )
+
+
 # ---------------------------------------------------------------- power-law 2
 
 
@@ -107,14 +129,8 @@ class PowerLaw2Params:
 
 
 def powerlaw2_system(p: PowerLaw2Params, N: int, D: int = 3) -> SystemSpec:
-    sgn = math.copysign(1.0, p.b)
     a, b = p.a, p.b
-    pair = InteractionTriple(
-        value=lambda r: sgn * a * r ** b,
-        d1=lambda r: sgn * a * b * r ** (b - 1.0),
-        d2=lambda r: sgn * a * b * (b - 1.0) * r ** (b - 2.0),
-        label=f"sgn(b)*{a:g}*r^{b:g}",
-    )
+    pair = _power(math.copysign(1.0, b) * a, b, f"sgn(b)*{a:g}*r^{b:g}")
     tag = Bound.UPPER if b <= 2.0 else Bound.LOWER
     return SystemSpec(
         N=N, D=D, kinetic=_nonrel_kinetic(p.m), pairwise=pair,
@@ -158,12 +174,7 @@ class PowerLaw1Params:
 
 def powerlaw1_system(p: PowerLaw1Params, N: int, D: int = 3) -> SystemSpec:
     a, b = p.a, p.b
-    one = InteractionTriple(
-        value=lambda s: a * s ** b,
-        d1=lambda s: a * b * s ** (b - 1.0),
-        d2=lambda s: a * b * (b - 1.0) * s ** (b - 2.0),
-        label=f"{a:g}*s^{b:g}",
-    )
+    one = _power(a, b, f"{a:g}*s^{b:g}")
     # beyond b = 2 the method guarantees nothing for this family
     tag = Bound.UPPER if b <= 2.0 else Bound.NONE
     return SystemSpec(
@@ -290,17 +301,8 @@ def confined_system(p: ConfinedParams, N: int, D: int = 3) -> SystemSpec:
         d2=lambda s: m * om * om,
         label=f"{m:g}*{om:g}^2*s^2/2",
     )
-    if g > 0.0:
-        pair = InteractionTriple(
-            value=lambda r: g / r,
-            d1=lambda r: -g / (r * r),
-            d2=lambda r: 2.0 * g / (r * r * r),
-            label=f"{g:g}/r",
-        )
-    else:
-        pair = InteractionTriple.zero()
     return SystemSpec(
-        N=N, D=D, kinetic=_nonrel_kinetic(m), onebody=one, pairwise=pair,
+        N=N, D=D, kinetic=_nonrel_kinetic(m), onebody=one, pairwise=_coulomb(g),
         bound=Bound.LOWER, label="confined",
     )
 
@@ -389,17 +391,8 @@ def baryon_system(p: BaryonParams, N: int, D: int = 3) -> SystemSpec:
         d2=lambda s: 0.0,
         label=f"{k:g}*s",
     )
-    if g > 0.0:
-        pair = InteractionTriple(
-            value=lambda r: -g / r,
-            d1=lambda r: g / (r * r),
-            d2=lambda r: -2.0 * g / (r * r * r),
-            label=f"-{g:g}/r",
-        )
-    else:
-        pair = InteractionTriple.zero()
     return SystemSpec(
-        N=N, D=D, kinetic=_ULTRAREL_KINETIC, onebody=one, pairwise=pair,
+        N=N, D=D, kinetic=_ULTRAREL_KINETIC, onebody=one, pairwise=_coulomb(-g),
         bound=Bound.UPPER, label="baryon", precheck=partial(_radicand, p, N),
     )
 

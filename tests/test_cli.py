@@ -159,9 +159,36 @@ class TestConfigErrors:
              "powerlaw1, powerlaw2"),
             (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--q", "1"],
              "system 'powerlaw2' needs parameter 'N'"),
+            # a value the library refuses; the parameter records' own
+            # checks used to exit 3 as a domain failure
+            (["--system", "powerlaw2", "--m", "-1", "--a", "1", "--b", "1", "--N", "2",
+              "--q", "1.5"],
+             "m must be positive and finite, got -1.0"),
+            (["--system", "powerlaw1", "--a", "1", "--b", "0", "--N", "3", "--q", "3"],
+             "b must be positive and finite, got 0.0"),
+            (["--system", "gaussian", "--m", "1", "--V0", "1", "--R", "0", "--N", "3",
+              "--q", "3"],
+             "R must be positive and finite, got 0.0"),
+            (["--system", "confined", "--m", "1", "--omega", "0.5", "--g", "-0.1",
+              "--N", "3", "--q", "3"],
+             "coupling must be non-negative and finite, got -0.1"),
+            (["--system", "baryon", "--k", "0.2", "--alpha-s", "-0.4", "--N", "3",
+              "--q", "3"],
+             "coupling must be non-negative and finite"),
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "1",
+              "--q", "1"],
+             "need at least two particles, got N=1"),
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
+              "--D", "1", "--q", "1"],
+             "need dimension D >= 2, got D=1"),
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
+              "--n-sum", "-1", "--l-sum", "0"],
+             "n_sum must be a non-negative integer, got -1"),
         ],
         ids=["foreign-key", "g-and-alpha-s", "no-coupling", "ground-shift",
-             "unknown-system", "missing-N"],
+             "unknown-system", "missing-N", "powerlaw2-m", "powerlaw1-b", "gaussian-R",
+             "confined-g", "baryon-alpha-s", "one-particle", "one-dimension",
+             "negative-n-sum"],
     )
     def test_exit_code_and_message(self, capsys, argv, message):
         assert cli.main(["solve", *argv]) == 2

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etkit import (
+    BaryonParams,
     Bound,
+    ConfinedParams,
     DomainError,
     GaussianParams,
+    PowerLaw1Params,
     PowerLaw2Params,
     QuantumNumbers,
     SystemSpec,
@@ -20,6 +23,7 @@ from etkit import (
     powerlaw2_system,
     q_phi,
 )
+from etkit.systems import FAMILIES
 
 
 def validate_derivatives(triple, points, h=1e-5, rtol=1e-6):
@@ -177,7 +181,27 @@ class TestSystemSpec:
         assert _harmonic(2).bound is Bound.UPPER
 
 
+# one parameter record per built-in case: every family, negative and
+# fractional exponents, and the g = 0 branches whose pair is the zero triple
+BUILT_IN = {
+    **{f"powerlaw2-b{b:g}": PowerLaw2Params(m=1.3, a=0.7, b=b)
+       for b in (-1.5, -1.0, 0.5, 1.0, 2.0, 3.0)},
+    **{f"powerlaw1-b{b:g}": PowerLaw1Params(a=0.8, b=b) for b in (0.5, 1.0, 2.0, 3.0)},
+    "gaussian": GaussianParams(m=1.2, V0=2.0, R=1.5),
+    **{f"confined-g{g:g}": ConfinedParams(m=1.2, omega=0.7, g=g) for g in (0.0, 0.4)},
+    **{f"baryon-g{g:g}": BaryonParams(tension_k=0.2, g=g) for g in (0.0, 0.267)},
+}
+_BUILDER = {params_cls: builder for params_cls, builder in FAMILIES.values()}
+
+
 class TestValidateDerivatives:
+    @pytest.mark.parametrize("role", ["kinetic", "onebody", "pairwise"])
+    @pytest.mark.parametrize("case", sorted(BUILT_IN))
+    def test_built_in_triples(self, case, role):
+        params = BUILT_IN[case]
+        spec = _BUILDER[type(params)](params, 3, 3)
+        validate_derivatives(getattr(spec, role), [0.3, 1.0, 2.5, 7.0])
+
     def test_consistent_triple_passes(self):
         spec = gaussian_system(GaussianParams(m=1.0, V0=2.0, R=1.5), 2)
         validate_derivatives(spec.pairwise, [0.3, 1.0, 2.5])

@@ -178,6 +178,52 @@ class TestValidation:
         assert level == pytest.approx(4.0 ** 0.75 * 5.280379863433776, rel=1e-6)
 
 
+class TestCallerMesh:
+    @pytest.mark.parametrize("mesh", [{"npoints": 1000}, {"rmax": 6.0}],
+                             ids=["npoints_alone", "rmax_alone"])
+    def test_box_and_mesh_come_together(self, mesh):
+        # npoints alone skipped the mesh floor and the check on the Numerov
+        # factor: for V = 0.00765 r^6 it returned the n_r = 0 level
+        # 1.2831128122 as n_r = 3 (13.7802356933); rmax alone took the
+        # adaptive mesh on a fixed box
+        calls = [0]
+
+        def value(r):
+            calls[0] += 1
+            return 0.00765 * r**6
+
+        pot = InteractionTriple(value, SEXTIC.d1, SEXTIC.d2, "0.00765 r^6")
+        with pytest.raises(DomainError, match="rmax and npoints"):
+            radial_eigenvalue(0.5, pot, l=0, n_r=3, **mesh)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["rmax", "npoints"])
+    def test_rejects_a_bad_box_or_mesh_given_with_the_other(self, name, bad):
+        # one of the two alone is refused whatever its value, so each value
+        # check is reached only with a good partner
+        mesh = {"rmax": 12.0, "npoints": 500, name: bad}
+        with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0, **mesh)
+
+    @pytest.mark.parametrize("npoints", [100, 350, 374])
+    def test_too_coarse_a_mesh_is_refused_before_any_pass(self, monkeypatch, npoints):
+        # V = r^6 at mu = 0.5 on rmax = 6: 100 and 350 points raised
+        # ConvergenceError("could not bracket the level from below") after
+        # 80 passes, and 374 points DomainError only after 7
+        count = _count_sweeps(monkeypatch)
+        with pytest.raises(DomainError, match="too few"):
+            radial_eigenvalue(0.5, SEXTIC, l=0, n_r=1, rmax=6.0, npoints=npoints)
+        assert count[0] == 0
+
+    def test_a_level_below_the_mesh_is_refused(self, monkeypatch):
+        # the check on the Numerov factor covers levels above the lowest
+        # V_eff on the mesh only; a solve that ended below it is refused
+        monkeypatch.setattr(oracle._Shooter, "solve", lambda self, *args, **kwargs: -1.0)
+        with pytest.raises(DomainError, match="below V_eff on the mesh"):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0, rmax=12.0, npoints=500)
+
+
 class TestAgainstEnvelope:
     def test_quadratic_pair_is_reproduced_exactly(self):
         # for b = 2 the two-body estimate is exact: both routes give 3
