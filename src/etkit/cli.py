@@ -47,10 +47,35 @@ def _family_keys(name: str) -> tuple[str, ...]:
     return own + _EXTRA_KEYS.get(name, ())
 
 
-# every key a config file or a flag may set, each once
+# every key a config file or a flag may set, each once; each is the flag
+# --KEY, with "_" written "-"
 _CONFIG_KEYS = tuple(dict.fromkeys(
     _SHARED_KEYS + tuple(key for name in FAMILIES for key in _family_keys(name))
 ))
+
+# the help text of each key's flag; the flags come from _CONFIG_KEYS, and
+# this dict orders them in --help
+_KEY_HELP = {
+    "system": "one of " + ", ".join(sorted(FAMILIES)),
+    "N": "number of particles",
+    "D": "space dimension (default 3)",
+    "m": "particle mass",
+    "a": "interaction strength",
+    "b": "power-law exponent",
+    "V0": "gaussian well depth",
+    "R": "gaussian well range",
+    "omega": "oscillator frequency",
+    "g": "pair Coulomb strength",
+    "k": "linear confinement tension",
+    "alpha_s": "strong coupling, g = 2 alpha_s / 3",
+    "nu": "collective radial number",
+    "lambda": "collective orbital number",
+    "n_sum": "sum of radial quantum numbers",
+    "l_sum": "sum of orbital quantum numbers",
+    "phi": "weight: a positive number, or 'dos' to derive it",
+    "q": "collective number used directly with phi=2",
+    "ground_shift": "true/false: add the D omega / 2 centre-of-mass offset (confined only)",
+}
 
 # canonical comparison columns: plain weight, recomputed weight, and the
 # two fitted constants quoted alongside the embedded table
@@ -85,8 +110,7 @@ def _read_config(path: str) -> dict[str, str]:
 def _collect_settings(args: argparse.Namespace) -> dict[str, str]:
     settings = _read_config(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
-        attr = "lam" if key == "lambda" else key
-        value = getattr(args, attr, None)
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     return settings
@@ -172,8 +196,11 @@ def _build_system(settings: dict[str, str]) -> tuple[SystemSpec, float]:
     return spec, shift
 
 
-def _quantum_input(settings: dict[str, str], spec: SystemSpec):
-    """Returns ("q", q) or ("nl", (nu, lam)) from exactly one input form."""
+def _quantum_input(settings: dict[str, str], spec: SystemSpec, q_refusal: str | None = None):
+    """Returns ("q", q) or ("nl", (nu, lam)) from exactly one input form.
+
+    With q_refusal, a valid q is refused with that message.
+    """
     has_q = "q" in settings
     has_nl = "nu" in settings or "lambda" in settings
     has_sums = "n_sum" in settings or "l_sum" in settings
@@ -185,6 +212,8 @@ def _quantum_input(settings: dict[str, str], spec: SystemSpec):
         q = _to_float("q", settings["q"])
         if q <= 0.0:
             raise ConfigError(f"q must be positive, got {q}")
+        if q_refusal:
+            raise ConfigError(q_refusal)
         return "q", q
     if has_nl:
         if "nu" not in settings or "lambda" not in settings:
@@ -216,67 +245,45 @@ def _parse_phi(text: str):
     return value
 
 
-def _solve_report(settings: dict[str, str]) -> list[str]:
+def _report(spec: SystemSpec, **values) -> str:
+    """The solve and phi report: the system, then one "key = value" line each."""
+    lines = [f"system = {spec.label}", f"N = {spec.N}", f"D = {spec.D}"]
+    for key, value in values.items():
+        lines.append(f"{key} = {value}" if isinstance(value, str) else f"{key} = {value:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+def _solve_report(settings: dict[str, str]) -> str:
     from .dos import improved_energy_at
     from .et_core import energy
 
     spec, shift = _build_system(settings)
     mode = _parse_phi(settings.get("phi", "2"))
-    form, data = _quantum_input(settings, spec)
-
+    form, data = _quantum_input(
+        settings, spec,
+        None if mode == 2.0 else "phi weighting needs nu/lambda or n_sum/l_sum input, not q",
+    )
     if form == "q":
-        if mode != 2.0:
-            raise ConfigError(
-                "phi weighting needs nu/lambda or n_sum/l_sum input, not q"
-            )
         sol = energy(spec, data)
         phi_used = 2.0
     else:
         nu, lam = data
         sol, pres = improved_energy_at(spec, nu, lam, None if mode == "dos" else mode)
         phi_used = mode if pres is None else pres.phi
-
-    return [
-        f"system = {spec.label}",
-        f"N = {spec.N}",
-        f"D = {spec.D}",
-        f"phi = {phi_used:.12g}",
-        f"Q = {sol.q_used:.12g}",
-        f"E = {sol.E + shift:.12g}",
-        f"r0 = {sol.r0:.12g}",
-        f"p0 = {sol.p0:.12g}",
-        f"bound = {sol.bound.name.lower()}",
-    ]
+    return _report(spec, phi=phi_used, Q=sol.q_used, E=sol.E + shift, r0=sol.r0, p0=sol.p0,
+                   bound=sol.bound.name.lower())
 
 
-def _phi_report(settings: dict[str, str]) -> list[str]:
+def _phi_report(settings: dict[str, str]) -> str:
     from .dos import compute_phi
 
     settings = {k: v for k, v in settings.items() if k != "phi"}
     spec, _ = _build_system(settings)
-    form, data = _quantum_input(settings, spec)
-    if form == "q":
-        raise ConfigError("the weight needs nu/lambda or n_sum/l_sum input, not q")
-    nu, lam = data
+    _, (nu, lam) = _quantum_input(
+        settings, spec, "the weight needs nu/lambda or n_sum/l_sum input, not q")
     pres = compute_phi(spec, float(lam))
-    return [
-        f"system = {spec.label}",
-        f"N = {spec.N}",
-        f"D = {spec.D}",
-        f"nu = {float(nu):.12g}",
-        f"lambda = {float(lam):.12g}",
-        f"phi = {pres.phi:.12g}",
-        f"a_sq = {pres.a_sq:.12g}",
-        f"b_n = {pres.b_n:.12g}",
-        f"b_d = {pres.b_d:.12g}",
-        f"r0_at_lambda = {pres.r0_at_lam:.12g}",
-    ]
-
-
-def _table_modes(mode_text: str):
-    if mode_text == "all":
-        return list(_TABLE_MODES)
-    return [(mode_text, _parse_phi(mode_text))]
+    return _report(spec, nu=float(nu), **{"lambda": float(lam)}, phi=pres.phi,
+                   a_sq=pres.a_sq, b_n=pres.b_n, b_d=pres.b_d, r0_at_lambda=pres.r0_at_lam)
 
 
 def _table_csv(results) -> str:
@@ -322,22 +329,22 @@ def _csv_target(path: str | None) -> Path | None:
     return target
 
 
-def _write_csv(target: Path, text: str) -> None:
+def _emit(target: Path | None, text: str) -> None:
+    """text into the checked --csv target, or to stdout without one."""
+    if target is None:
+        sys.stdout.write(text)
+        return
     try:
         target.write_text(text)
     except OSError as exc:
         raise ConfigError(f"{target}: cannot write CSV: {exc}") from exc
 
 
-def _run_table1(args: argparse.Namespace) -> int:
-    modes = _table_modes(args.phi)
+def _run_table1(args: argparse.Namespace) -> None:
+    modes = _TABLE_MODES if args.phi == "all" else [(args.phi, _parse_phi(args.phi))]
     target = _csv_target(args.csv)
     results = [(mode_id, table1(phi_mode=mode)) for mode_id, mode in modes]
-    if target:
-        _write_csv(target, _table_csv(results))
-    else:
-        sys.stdout.write(_table_pretty(results))
-    return 0
+    _emit(target, _table_csv(results) if target else _table_pretty(results))
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -402,10 +409,8 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
             axis_cell = f"{x:.12g}"
 
         spec, shift = _build_system(point)
-        form, data = _quantum_input(point, spec)
-        if form == "q":
-            raise ConfigError("scan needs nu/lambda or n_sum/l_sum input, not q")
-        nu, lam = data
+        _, (nu, lam) = _quantum_input(
+            point, spec, "scan needs nu/lambda or n_sum/l_sum input, not q")
 
         plain, _ = improved_energy_at(spec, nu, lam, 2.0)
         improved, pres = improved_energy_at(spec, nu, lam)
@@ -418,41 +423,18 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
     return header, rows
 
 
-def _run_scan(args: argparse.Namespace) -> int:
+def _run_scan(args: argparse.Namespace) -> None:
     settings = _collect_settings(args)
     target = _csv_target(args.csv)
     header, rows = _scan_rows(args, settings)
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
-    if target:
-        _write_csv(target, text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    _emit(target, text)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="key=value parameter file")
-    parser.add_argument("--system", help="one of " + ", ".join(sorted(FAMILIES)))
-    parser.add_argument("--N", help="number of particles")
-    parser.add_argument("--D", help="space dimension (default 3)")
-    parser.add_argument("--m", help="particle mass")
-    parser.add_argument("--a", help="interaction strength")
-    parser.add_argument("--b", help="power-law exponent")
-    parser.add_argument("--V0", help="gaussian well depth")
-    parser.add_argument("--R", help="gaussian well range")
-    parser.add_argument("--omega", help="oscillator frequency")
-    parser.add_argument("--g", help="pair Coulomb strength")
-    parser.add_argument("--k", help="linear confinement tension")
-    parser.add_argument("--alpha-s", dest="alpha_s", help="strong coupling, g = 2 alpha_s / 3")
-    parser.add_argument("--nu", help="collective radial number")
-    parser.add_argument("--lambda", dest="lam", help="collective orbital number")
-    parser.add_argument("--n-sum", dest="n_sum", help="sum of radial quantum numbers")
-    parser.add_argument("--l-sum", dest="l_sum", help="sum of orbital quantum numbers")
-    parser.add_argument("--phi", help="weight: a positive number, or 'dos' to derive it")
-    parser.add_argument("--q", help="collective number used directly with phi=2")
-    parser.add_argument("--ground-shift", dest="ground_shift",
-                        help="true/false: add the D omega / 2 centre-of-mass "
-                             "offset (confined only)")
+    for key in sorted(_CONFIG_KEYS, key=list(_KEY_HELP).index):
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEY_HELP[key])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -490,22 +472,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            for line in _solve_report(_collect_settings(args)):
-                print(line)
-            return 0
-        if args.command == "phi":
-            for line in _phi_report(_collect_settings(args)):
-                print(line)
-            return 0
-        if args.command == "table1":
-            return _run_table1(args)
-        return _run_scan(args)
+            _emit(None, _solve_report(_collect_settings(args)))
+        elif args.command == "phi":
+            _emit(None, _phi_report(_collect_settings(args)))
+        elif args.command == "table1":
+            _run_table1(args)
+        else:
+            _run_scan(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EtkitError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entrypoint() -> None:

@@ -426,10 +426,12 @@ def radial_eigenvalue(
 ) -> float:
     """Eigenvalue with n_r radial nodes and orbital momentum l.
 
-    mu is the reduced mass; the potential must support the requested
-    bound state (NoBoundState otherwise).  rmax and npoints, both or
-    neither, replace the adaptive box and mesh (one alone is a DomainError
-    before the potential is called); that mesh's Numerov level is returned
+    mu is the reduced mass; l and n_r are whole numbers >= 0, ints or
+    integer-valued floats (DomainError before the potential is called
+    otherwise).  The potential must support the requested bound state
+    (NoBoundState otherwise).  rmax and npoints, both or neither, replace
+    the adaptive box and mesh (one alone is a DomainError before the
+    potential is called); that mesh's Numerov level is returned
     unextrapolated, which the convergence tests use to measure the O(h^4)
     error scaling directly.  Both must be positive and finite, npoints a
     whole number, and the Numerov factor at the lowest V_eff on the mesh
@@ -439,8 +441,8 @@ def radial_eigenvalue(
     arithmetic error, at a mesh point raises DomainError.
     """
     require_finite_positive("reduced mass", mu)
-    if l < 0 or n_r < 0:
-        raise DomainError(f"quantum numbers must be >= 0, got l={l!r}, n_r={n_r!r}")
+    if not all(0 <= x < math.inf and x == int(x) for x in (l, n_r)):
+        raise DomainError(f"quantum numbers must be whole numbers >= 0, got l={l!r}, n_r={n_r!r}")
     fixed = rmax is not None
     if fixed != (npoints is not None):
         raise DomainError(f"give rmax and npoints together or neither, got {rmax!r}, {npoints!r}")

@@ -109,6 +109,12 @@ def _coulomb(c: float) -> InteractionTriple:
 # ---------------------------------------------------------------- power-law 2
 
 
+def _require_pair_exponent(b: float) -> None:
+    """DomainError unless -2 < b < inf and b != 0."""
+    if not math.isfinite(b) or b <= -2.0 or b == 0.0:
+        raise DomainError(f"exponent must satisfy b > -2, b != 0, got {b!r}")
+
+
 @dataclass(frozen=True)
 class PowerLaw2Params:
     """Nonrelativistic particles with pair potential sgn(b) a r^b.
@@ -124,8 +130,7 @@ class PowerLaw2Params:
     def __post_init__(self) -> None:
         require_finite_positive("m", self.m)
         require_finite_positive("a", self.a)
-        if not math.isfinite(self.b) or self.b <= -2.0 or self.b == 0.0:
-            raise DomainError(f"exponent must satisfy b > -2, b != 0, got {self.b!r}")
+        _require_pair_exponent(self.b)
 
 
 def powerlaw2_system(p: PowerLaw2Params, N: int, D: int = 3) -> SystemSpec:
@@ -152,8 +157,7 @@ def powerlaw2_energy(p: PowerLaw2Params, N: int, q: float) -> float:
 
 def powerlaw2_phi(b: float) -> float:
     """phi = sqrt(b + 2), independent of every other parameter."""
-    if not math.isfinite(b) or b <= -2.0 or b == 0.0:
-        raise DomainError(f"exponent must satisfy b > -2, b != 0, got {b!r}")
+    _require_pair_exponent(b)
     return math.sqrt(b + 2.0)
 
 
@@ -192,8 +196,7 @@ def powerlaw1_energy(p: PowerLaw1Params, N: int, q: float) -> float:
 
 def powerlaw1_phi(b: float) -> float:
     """phi = sqrt(b + 1) for the ultrarelativistic one-body family."""
-    if not math.isfinite(b) or b <= 0.0:
-        raise DomainError(f"exponent must be positive, got {b!r}")
+    require_finite_positive("b", b)
     return math.sqrt(b + 1.0)
 
 
@@ -458,8 +461,7 @@ def bsq_ratio_coeffs(b: float) -> tuple[float, float, float]:
     with B the Euler beta function.  Returns (C1, C2, delta) where
     delta = |C1-C2|/(C1+C2) is the normalised split, small on (0, 2.5].
     """
-    if not math.isfinite(b) or b <= 0.0:
-        raise DomainError(f"exponent must be positive, got {b!r}")
+    require_finite_positive("b", b)
     e = b / (b + 2.0)
     c1 = (b + 2.0) ** e
     c2 = (

@@ -3,6 +3,7 @@
 Configuration errors are checked in-process through ``cli.main``.
 """
 
+import argparse
 import math
 import subprocess
 import sys
@@ -277,6 +278,57 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         res = run_cli("solve", "--config", str(tmp_path / "nope.cfg"))
         assert res.returncode == 2
+
+    # one case per family, the config keys given once as a file and once
+    # as the matching --KEY flags
+    FAMILY_CASES = {
+        "powerlaw2": {"system": "powerlaw2", "N": "2", "m": "1", "a": "1", "b": "1",
+                      "n_sum": "1", "l_sum": "2", "phi": "dos"},
+        "powerlaw1": {"system": "powerlaw1", "N": "3", "a": "1", "b": "1.5", "nu": "1",
+                      "lambda": "2"},
+        "gaussian": {"system": "gaussian", "N": "2", "m": "1", "V0": "5", "R": "2",
+                     "n_sum": "0", "l_sum": "1", "phi": "1.5"},
+        "confined": {"system": "confined", "D": "2", "N": "3", "m": "1", "omega": "0.5",
+                     "g": "0.1", "n_sum": "0", "l_sum": "1", "ground_shift": "yes"},
+        "baryon": {"system": "baryon", "N": "3", "k": "0.2", "g": "0.1", "q": "3"},
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILY_CASES))
+    def test_config_matches_flags_for_every_family(self, capsys, tmp_path, family):
+        case = self.FAMILY_CASES[family]
+        cfg = tmp_path / f"{family}.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in case.items()))
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        flags = [arg for key, value in case.items()
+                 for arg in ("--" + key.replace("_", "-"), value)]
+        assert cli.main(["solve", *flags]) == 0
+        from_flags = capsys.readouterr().out
+        assert from_file == from_flags
+        assert stdout_fields(from_file)["system"] == family
+
+
+class TestKeyTable:
+    @staticmethod
+    def subparser(command):
+        parser = cli._build_parser()
+        sub = next(action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        return sub.choices[command]
+
+    @pytest.mark.parametrize("command", ["solve", "phi", "scan"])
+    def test_one_flag_per_config_key(self, command):
+        own = {"-h", "--help", "--config", "--axis", "--grid", "--csv"}
+        flags = {option: action.dest for action in self.subparser(command)._actions
+                 for option in action.option_strings if option not in own}
+        assert flags == {"--" + key.replace("_", "-"): key for key in cli._CONFIG_KEYS}
+
+    def test_every_flag_reaches_the_settings(self):
+        values = {key: f"value{i}" for i, key in enumerate(cli._CONFIG_KEYS)}
+        argv = [arg for key, value in values.items()
+                for arg in ("--" + key.replace("_", "-"), value)]
+        args = cli._build_parser().parse_args(["solve", *argv])
+        assert cli._collect_settings(args) == values
 
 
 class TestTable:

@@ -58,6 +58,21 @@ def test_help_loads_no_numpy():
     assert "numpy" not in loaded
 
 
+@pytest.mark.parametrize("command", ["solve", "scan"])
+def test_command_help_loads_no_numpy(command):
+    # these pages list the flags built from the family parameter records
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from etkit import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        f"        cli.main([{command!r}, '--help'])\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0\n"
+    )
+    assert "numpy" not in loaded
+
+
 def test_solve_loads_no_oracle():
     loaded = loaded_after(
         "import contextlib, io\n"

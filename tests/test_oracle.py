@@ -155,11 +155,26 @@ class TestValidation:
         with pytest.raises(DomainError):
             radial_eigenvalue(-1.0, OSC, l=0, n_r=0)
 
-    def test_rejects_bad_quantum_numbers(self):
+    @pytest.mark.parametrize(
+        "l,n_r",
+        [(-1, 0), (0, -1), (math.nan, 0), (0, math.nan), (3.5, 0), (1.5, 0), (0, 1.5),
+         (0, math.inf)],
+        ids=["l=-1", "n_r=-1", "l=nan", "n_r=nan", "l=3.5", "l=1.5", "n_r=1.5", "n_r=inf"],
+    )
+    def test_rejects_bad_quantum_numbers(self, l, n_r):
+        # before the check asked for whole numbers, NaN and fractions reached
+        # the solver: l = 1.5 returned 5.99999999997, the others raised numpy's
+        # ValueError, a TypeError or a ConvergenceError
+        calls = [0]
+
+        def value(r):
+            calls[0] += 1
+            return r * r
+
+        pot = InteractionTriple(value, OSC.d1, OSC.d2, "r^2")
         with pytest.raises(DomainError):
-            radial_eigenvalue(0.5, OSC, l=-1, n_r=0)
-        with pytest.raises(DomainError):
-            radial_eigenvalue(0.5, OSC, l=0, n_r=-1)
+            radial_eigenvalue(0.5, pot, l=l, n_r=n_r)
+        assert calls[0] == 0
 
     @pytest.mark.parametrize("n_r", [1, 2])
     def test_rejects_a_fixed_mesh_too_coarse_for_the_level(self, n_r):

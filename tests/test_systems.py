@@ -95,6 +95,9 @@ class TestPowerLaw2:
             PowerLaw2Params(m=1.0, a=1.0, b=0.0)
         with pytest.raises(DomainError):
             PowerLaw2Params(m=1.0, a=1.0, b=-2.0)
+        for b in (-2.0, -3.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                powerlaw2_phi(b)
 
 
 class TestPowerLaw1:
@@ -119,6 +122,11 @@ class TestPowerLaw1:
     def test_bound_tags(self):
         assert powerlaw1_system(PowerLaw1Params(a=1.0, b=1.0), 2).bound is Bound.UPPER
         assert powerlaw1_system(PowerLaw1Params(a=1.0, b=3.0), 2).bound is Bound.NONE
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.nan])
+    def test_rejects_bad_exponent(self, b):
+        with pytest.raises(DomainError):
+            powerlaw1_phi(b)
 
 
 class TestGaussian:
