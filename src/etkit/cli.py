@@ -107,12 +107,19 @@ def _read_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _collect_settings(args: argparse.Namespace) -> dict[str, str]:
+def _collect_settings(args: argparse.Namespace, own: tuple[str, ...] = ()) -> dict[str, str]:
+    """The config file's keys, overridden by the flags given.
+
+    own names the keys the command sets itself; giving one is refused.
+    """
     settings = _read_config(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
+    for key in own:
+        if key in settings:
+            raise ConfigError(f"{args.command} sets {key!r} itself; do not give it")
     return settings
 
 
@@ -277,7 +284,6 @@ def _solve_report(settings: dict[str, str]) -> str:
 def _phi_report(settings: dict[str, str]) -> str:
     from .dos import compute_phi
 
-    settings = {k: v for k, v in settings.items() if k != "phi"}
     spec, _ = _build_system(settings)
     _, (nu, lam) = _quantum_input(
         settings, spec, "the weight needs nu/lambda or n_sum/l_sum input, not q")
@@ -370,51 +376,28 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
 
     axis = args.axis
     grid = _parse_grid(args.grid)
-    base = dict(settings)
-    base.pop("phi", None)
+    if axis == "N" and ("n_sum" not in settings or "l_sum" not in settings):
+        raise ConfigError("axis N needs n_sum and l_sum so the collective "
+                          "numbers can follow the particle count")
+    # each grid point is a solve input, built and so checked before the first solve
+    points = []
+    for x in grid:
+        point = {**settings, axis: repr(x)}
+        spec, shift = _build_system(point)
+        _, (nu, lam) = _quantum_input(
+            point, spec, "scan needs nu/lambda or n_sum/l_sum input, not q")
+        points.append((x, spec, shift, nu, lam))
 
-    with_ratio = False
-    if axis == "b":
-        if base.get("system") not in ("powerlaw2", "powerlaw1"):
-            raise ConfigError("axis b applies to the power-law systems only")
-        with_ratio = base.get("system") == "powerlaw2" and all(x > 0.0 for x in grid)
-    if axis == "N":
-        if "n_sum" not in base or "l_sum" not in base:
-            raise ConfigError("axis N needs n_sum and l_sum so the collective "
-                              "numbers can follow the particle count")
-        for key in ("nu", "lambda", "q"):
-            if key in base:
-                raise ConfigError(f"axis N cannot be combined with {key!r}")
-    if axis == "lambda":
-        if "nu" not in base:
-            raise ConfigError("axis lambda needs nu")
-        for key in ("lambda", "n_sum", "l_sum", "q"):
-            if key in base:
-                raise ConfigError(f"axis lambda cannot be combined with {key!r}")
-
+    with_ratio = axis == "b" and settings["system"] == "powerlaw2" and all(x > 0.0 for x in grid)
     header = [axis, "E_phi2", "E_dos", "phi_dos"]
     if with_ratio:
         header += ["c1", "c2", "delta"]
 
     rows = []
-    for x in grid:
-        point = dict(base)
-        if axis == "N":
-            if abs(x - round(x)) > 1e-9 or round(x) < 2:
-                raise ConfigError(f"axis N needs whole numbers >= 2, got {x:g}")
-            point["N"] = str(int(round(x)))
-            axis_cell = str(int(round(x)))
-        else:
-            point[axis] = repr(x)
-            axis_cell = f"{x:.12g}"
-
-        spec, shift = _build_system(point)
-        _, (nu, lam) = _quantum_input(
-            point, spec, "scan needs nu/lambda or n_sum/l_sum input, not q")
-
+    for x, spec, shift, nu, lam in points:
         plain, _ = improved_energy_at(spec, nu, lam, 2.0)
         improved, pres = improved_energy_at(spec, nu, lam)
-        cells = [axis_cell, f"{plain.E + shift:.12g}", f"{improved.E + shift:.12g}",
+        cells = [f"{x:.12g}", f"{plain.E + shift:.12g}", f"{improved.E + shift:.12g}",
                  f"{pres.phi:.12g}"]
         if with_ratio:
             c1, c2, delta = bsq_ratio_coeffs(x)
@@ -424,7 +407,7 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
 
 
 def _run_scan(args: argparse.Namespace) -> None:
-    settings = _collect_settings(args)
+    settings = _collect_settings(args, ("phi", args.axis))
     target = _csv_target(args.csv)
     header, rows = _scan_rows(args, settings)
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
@@ -474,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             _emit(None, _solve_report(_collect_settings(args)))
         elif args.command == "phi":
-            _emit(None, _phi_report(_collect_settings(args)))
+            _emit(None, _phi_report(_collect_settings(args, ("phi",))))
         elif args.command == "table1":
             _run_table1(args)
         else:

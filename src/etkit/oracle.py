@@ -16,10 +16,11 @@ finder: this is the reference the approximate energies and their
 variational tags are tested against.  A caller's mesh (rmax and npoints,
 both or neither) is checked once, before any pass, for a Numerov factor
 f <= 0 at the lowest V_eff on it, and its level has an error O(h^4) in
-the step h.  Otherwise one call samples V on a log grid
-from 1e-3 / sqrt(mu) to 1e7: where V_eff never dips below V's limit at
-large r there is no level (NoBoundState at once), and the first box
-reaches twice as far as the lowest V_eff.  A box of length L gets 40 L
+the step h.  One call samples V at r = 1e-8 and 5e-9, which fix the
+Coulomb part of the small-r start, and on a log grid from 1e-3 / sqrt(mu)
+to 1e7: where V_eff never dips below V's limit at large r there is no
+level (NoBoundState at once).  Otherwise the first box reaches twice as
+far as the lowest V_eff.  A box of length L gets 40 L
 points, within [1000, 25000], raised to keep the Numerov factor >= 1/2
 above that lowest V_eff; it grows until the classical turning point is
 within 60% of it and the WKB tail action beyond is >= 15.  The final
@@ -97,15 +98,36 @@ _MAX_POINTS = 1 << 20
 _Shot = tuple[float, int, float]
 
 
-def _probe(potential: InteractionTriple, mu: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Radii, V at them, and V's large-distance limit, from one call.
+def _probe(
+    potential: InteractionTriple, mu: float
+) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
+    """Radii, V at them, V's large-distance limit and the origin pair, from one call.
 
-    400 radii run from 1e-3 / sqrt(mu) to 1e5, then 1e6 and 1e7.  The limit
-    is V at the largest of the last three before an inf (an overflow), so
-    none is found for a confining potential; a NaN there is a DomainError.
+    The call holds 1e-8 and 5e-9, then 400 radii from 1e-3 / sqrt(mu) to
+    1e5, then 1e6 and 1e7; the radii and values returned are the last 402.
+    The origin pair (A, B) in V(r) ~ A/r + B comes from Richardson
+    extrapolation of r*V(r) and V(r) - A/r at the first two: exact for
+    potentials that actually have this form, and a harmless ~0 for
+    regular ones.  Both must be finite (DomainError otherwise).  The limit
+    is V at the largest of the last three radii before an inf (an
+    overflow), so none is found for a confining potential; a NaN there is
+    a DomainError.
     """
-    radii = np.append(np.geomspace(1e-3 / math.sqrt(mu), 1e5, 400), (1e6, 1e7))
+    radii = np.concatenate(((1e-8, 5e-9), np.geomspace(1e-3 / math.sqrt(mu), 1e5, 400),
+                            (1e6, 1e7)))
     values = _on_points(potential.value, radii)
+    (r1, r2), (v1, v2) = radii[:2].tolist(), values[:2].tolist()
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise DomainError(f"the potential is not finite at r={r1:g} or r={r2:g}")
+    t1, t2 = r1 * v1, r2 * v2
+    a = 2.0 * t2 - t1
+    if abs(a) < 1e-10 * max(1.0, abs(t1)):
+        a = 0.0
+    s1 = v1 - (a / r1 if a else 0.0)
+    s2 = v2 - (a / r2 if a else 0.0)
+    b = 2.0 * s2 - s1
+    if not math.isfinite(b):
+        b = 0.0
     limit = math.inf
     for radius, value in zip(radii[-3:].tolist(), values[-3:].tolist()):
         if math.isnan(value):
@@ -113,36 +135,12 @@ def _probe(potential: InteractionTriple, mu: float) -> tuple[np.ndarray, np.ndar
         if math.isinf(value):
             break
         limit = value
-    return radii, values, limit
+    return radii[2:], values[2:], limit, (a, b)
 
 
 def _unbound(e: float, asym: float) -> bool:
     """Whether e sits at or above the potential's large-distance limit."""
     return e >= asym - 1e-12 * max(1.0, abs(asym))
-
-
-def _laurent_coeffs(potential: InteractionTriple, eta: float = 1e-8) -> tuple[float, float]:
-    """Estimate A and B in V(r) ~ A/r + B near the origin.
-
-    Richardson extrapolation of r*V(r) and V(r) - A/r at two small
-    radii; exact for potentials that actually have this form, and a
-    harmless ~0 for regular ones.  Both samples must be finite
-    (DomainError otherwise).
-    """
-    v1, v2 = _on_points(potential.value, np.array([eta, eta / 2.0])).tolist()
-    if not (math.isfinite(v1) and math.isfinite(v2)):
-        raise DomainError(f"the potential is not finite at r={eta:g} or r={eta / 2.0:g}")
-    t1 = eta * v1
-    t2 = (eta / 2.0) * v2
-    a = 2.0 * t2 - t1
-    if abs(a) < 1e-10 * max(1.0, abs(t1)):
-        a = 0.0
-    s1 = v1 - (a / eta if a else 0.0)
-    s2 = v2 - (a / (eta / 2.0) if a else 0.0)
-    b = 2.0 * s2 - s1
-    if not math.isfinite(b):
-        b = 0.0
-    return a, b
 
 
 def _numerov(
@@ -453,9 +451,8 @@ def radial_eigenvalue(
             raise DomainError(f"npoints must be a whole number, got {npoints!r}")
         npoints = int(npoints)
 
-    laurent = _laurent_coeffs(potential)
     # no level lies below min V_eff, and the first box reaches twice as far out
-    radii, values, asym = _probe(potential, mu)
+    radii, values, asym, laurent = _probe(potential, mu)
     veff = values + l * (l + 1) / (2.0 * mu * radii**2)
     dip = int(np.nanargmin(veff))
     bottom = float(veff[dip])

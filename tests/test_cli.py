@@ -506,6 +506,72 @@ class TestScan:
         assert res.returncode == 2
 
 
+class TestKeysACommandSets:
+    # a valid sweep of each axis; scan sets the swept key and phi itself
+    SCANS = {
+        "N": ["--system", "confined", "--m", "1", "--omega", "0.5", "--g", "0.1",
+              "--n-sum", "0", "--l-sum", "0", "--axis", "N", "--grid", "2:3:2"],
+        "b": ["--system", "powerlaw2", "--m", "1", "--a", "1", "--N", "2",
+              "--n-sum", "0", "--l-sum", "1", "--axis", "b", "--grid", "1:2:2"],
+        "lambda": ["--system", "baryon", "--k", "0.2", "--g", "0.1", "--N", "3",
+                   "--nu", "0.5", "--axis", "lambda", "--grid", "1:2:2"],
+    }
+    PHI = ["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
+           "--n-sum", "1", "--l-sum", "2"]
+
+    @pytest.mark.parametrize("axis", list(SCANS))
+    def test_swept_key_is_refused(self, capsys, axis):
+        # a given N or b was overwritten by the grid without a word (exit 0)
+        assert cli.main(["scan", *self.SCANS[axis], "--" + axis, "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: scan sets {axis!r} itself; do not give it\n")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["phi", "scan"])
+    def test_phi_is_refused(self, capsys, tmp_path, command, source):
+        # both commands dropped a given phi without a word (exit 0)
+        argv = [command, *(self.PHI if command == "phi" else self.SCANS["N"])]
+        if source == "flag":
+            argv += ["--phi", "7"]
+        else:
+            cfg = tmp_path / "phi.cfg"
+            cfg.write_text("phi = 7\n")
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {command} sets 'phi' itself; do not give it\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--system", "baryon", "--k", "0.2", "--g", "0.1", "--n-sum", "0",
+              "--l-sum", "1", "--axis", "N", "--grid", "3:4:3"],
+             "N must be an integer, got '3.5'"),
+            (["--system", "baryon", "--k", "0.2", "--g", "0.1", "--N", "3", "--nu", "0.5",
+              "--axis", "lambda", "--grid=2:-1:4"],
+             "lambda must be non-negative, got -1.0"),
+        ],
+        ids=["half-particle", "negative-lambda"],
+    )
+    def test_bad_grid_point_is_refused_before_any_solve(self, capsys, monkeypatch, argv,
+                                                         message):
+        # N = 3.5 was refused after both solves of N = 3, and lambda = -1
+        # never: the scan ended at lambda = 0 in PhiUndefined (exit 3)
+        from etkit import dos
+
+        calls = []
+        solve = dos.improved_energy_at
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(dos, "improved_energy_at", counted)
+        assert cli.main(["scan", *argv]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert calls == []
+
+
 class TestPhiReport:
     def test_reports_the_slope_breakdown(self):
         res = run_cli(

@@ -182,7 +182,7 @@ class TestValidation:
         # Numerov factor is negative only at the last point, r = 6, where u
         # flips sign and the flip reads as a node; n_r = 1 and 2 returned
         # the n_r = 0 and n_r = 1 levels, 4.33860 and 14.9352, without error
-        shooter = oracle._Shooter(0.5, SEXTIC, 0, 6.0, 374, oracle._laurent_coeffs(SEXTIC))
+        shooter = oracle._Shooter(0.5, SEXTIC, 0, 6.0, 374, oracle._probe(SEXTIC, 0.5)[3])
         f = shooter._numerov_input(4.3385986777832315)[0]
         assert np.flatnonzero(f <= 0.0).tolist() == [374]
         with pytest.raises(DomainError):
@@ -318,11 +318,11 @@ class TestSweepBudget:
         assert count[0] <= ceiling
 
     def test_coulomb_potential_calls(self):
-        # one call for both Laurent points near the origin (two when each
-        # point was a scalar call, four when each was sampled twice), one
-        # for the probe of V_eff that also holds the three far-field
-        # points (three scalar calls before), one array call for each of
-        # the five boxes and one for the final box on twice the points
+        # one probe call that holds both Laurent points near the origin
+        # (a call of its own before, two when each point was a scalar
+        # call), the probe of V_eff and the three far-field points (three
+        # scalar calls before), one array call for each of the five boxes
+        # and one for the final box on twice the points
         calls = [0]
 
         def value(r):
@@ -332,7 +332,7 @@ class TestSweepBudget:
         counted = InteractionTriple(value, COULOMB.d1, COULOMB.d2, "-1/r")
         level = radial_eigenvalue(0.5, counted, l=0, n_r=1)
         assert level == pytest.approx(-0.0625, abs=1e-9)
-        assert calls[0] <= 8
+        assert calls[0] <= 7
 
 
 # two-body levels (b, n_r, l) whose exact value is known: oscillator,
@@ -421,7 +421,7 @@ class TestHighOrbital:
 
     @pytest.mark.parametrize("l", [0, 2, 3, 10, 40])
     def test_passes_start_past_the_negative_factors(self, l):
-        shooter = oracle._Shooter(0.5, COULOMB, l, 200.0, 25000, oracle._laurent_coeffs(COULOMB))
+        shooter = oracle._Shooter(0.5, COULOMB, l, 200.0, 25000, oracle._probe(COULOMB, 0.5)[3])
         f, u_start, first_term, i0 = shooter._numerov_input(-0.25 / (l + 1) ** 2)
         assert i0 == (1 if l < 3 else math.isqrt(l * (l + 1) // 12) + 2)
         assert np.all(f[i0 - 1:i0 + 50] > 0.0)
@@ -436,7 +436,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("potential,l,n_r", [(OSC, 1, 2), (COULOMB, 0, 1)])
     def test_guess_does_not_move_the_level(self, potential, l, n_r, shift):
         shooter = oracle._Shooter(
-            0.5, potential, l, 40.0, 8000, oracle._laurent_coeffs(potential)
+            0.5, potential, l, 40.0, 8000, oracle._probe(potential, 0.5)[3]
         )
         cold = shooter.solve(n_r)
         warm = shooter.solve(n_r, guess=cold * (1.0 + shift))
@@ -453,11 +453,11 @@ class TestPotentialSampling:
 
         pot = InteractionTriple(value, OSC.d1, OSC.d2, "r^2")
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
-        # the two origin probes, the probe of V_eff with the three
-        # far-field points at its end, the mesh of the one box, then that
-        # box on twice the points
+        # the probe: the two origin points, then V_eff's radii with the
+        # three far-field points at their end; the mesh of the one box,
+        # then that box on twice the points
         n = _box(0)[1]
-        assert shapes == [(2,), (402,), (n,), (2 * n,)]
+        assert shapes == [(404,), (n,), (2 * n,)]
 
     @pytest.mark.parametrize(
         "value",
@@ -572,13 +572,13 @@ class TestWkbStart:
         # Langer-WKB is exact for both spectra; only the mesh and the
         # turning points cut across cells separate it from the level
         shooter = oracle._Shooter(
-            0.5, potential, l, 60.0, 12000, oracle._laurent_coeffs(potential)
+            0.5, potential, l, 60.0, 12000, oracle._probe(potential, 0.5)[3]
         )
         assert shooter.wkb_level(n_r) == pytest.approx(exact, rel=1e-3)
 
     def test_no_estimate_where_the_box_cannot_hold_the_level(self):
         # the Coulomb (1,1) level lies above V_eff at the edge of the first box
-        shooter = oracle._Shooter(0.5, COULOMB, 1, *_box(0), oracle._laurent_coeffs(COULOMB))
+        shooter = oracle._Shooter(0.5, COULOMB, 1, *_box(0), oracle._probe(COULOMB, 0.5)[3])
         assert shooter.wkb_level(1) is None
 
     @pytest.mark.parametrize("a,growths", [(0.9, 5), (1.0, 5), (1.1, 4)])
@@ -598,12 +598,12 @@ class TestWkbStart:
         _wrap_passes(monkeypatch, lambda f: swept_meshes.add(len(f) - 1))
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
         box, n = _box(growths)
-        # the two probe calls, then one array call per box and one for
+        # the probe call, then one array call per box and one for
         # the kept box on twice the points, and sweeps only on the meshes
         # of the box that is kept (every box of this level has its own
         # mesh size)
-        assert array_calls[:2] == [2, 402]
-        assert array_calls[2:] == [_box(k)[1] for k in range(growths + 1)] + [2 * n]
+        assert array_calls[0] == 404
+        assert array_calls[1:] == [_box(k)[1] for k in range(growths + 1)] + [2 * n]
         assert swept_meshes == {n, 2 * n}
         fixed = [radial_eigenvalue(0.5, pot, l=1, n_r=1, rmax=box, npoints=k) for k in (n, 2 * n)]
         assert adaptive == pytest.approx(_richardson(*fixed), rel=1e-12)
@@ -614,11 +614,11 @@ class TestWkbStart:
         # the same extrapolation with the box on twice the points follows
         pot = _power_pair(3.0, 1.0)
         box, n = _box(0)
-        shooter = oracle._Shooter(0.5, pot, 0, box, n, oracle._laurent_coeffs(pot))
+        shooter = oracle._Shooter(0.5, pot, 0, box, n, oracle._probe(pot, 0.5)[3])
         estimate = shooter.wkb_level(0)
         cold = shooter.solve(0)
         assert abs(cold - estimate) > oracle._SEED_SPAN * abs(estimate)
-        fine = oracle._Shooter(0.5, pot, 0, box, 2 * n, oracle._laurent_coeffs(pot)).solve(0)
+        fine = oracle._Shooter(0.5, pot, 0, box, 2 * n, oracle._probe(pot, 0.5)[3]).solve(0)
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(
             _richardson(cold, fine), rel=1e-12
         )
@@ -664,7 +664,7 @@ class TestWkbStart:
         # trapezoid over the clipped integrand, from a narrow allowed
         # region to the whole Langer well of the box
         box, n = _box(1)
-        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._laurent_coeffs(potential))
+        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._probe(potential, 0.5)[3])
         lo, hi = float(np.min(shooter.langer)), float(shooter.langer[-1])
         e = lo + fraction * (hi - lo)
         ksq = 2.0 * shooter.mu * (e - shooter.langer)
@@ -678,7 +678,7 @@ class TestWkbStart:
         # equal numpy's trapezoid over the clipped integrand from the
         # outer turning point to the edge
         box, n = _box(1)
-        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._laurent_coeffs(potential))
+        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._probe(potential, 0.5)[3])
         lo, hi = float(np.min(shooter.veff[1:])), float(shooter.veff[-1])
         e = lo + fraction * (hi - lo)
         i = int(np.flatnonzero(shooter.veff[1:] <= e)[-1]) + 1
@@ -817,7 +817,7 @@ class TestSweep:
         # would get without the floor for steep potentials: f < 0 over the
         # last ~55 % of the mesh, where the pass still counts sign changes
         # of y = f u, and the recurrence outgrows the rescale
-        shooter = oracle._Shooter(0.5, SEXTIC, l, *_box(0), oracle._laurent_coeffs(SEXTIC))
+        shooter = oracle._Shooter(0.5, SEXTIC, l, *_box(0), oracle._probe(SEXTIC, 0.5)[3])
         f, u_start, first_term, i0 = shooter._numerov_input(e)
         assert f[i0] > 0.0 and f[-1] < 0.0
         nodes, edge = oracle._numerov(f, u_start, first_term, i0)
