@@ -7,7 +7,9 @@ parameter axis and emits CSV.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3
 when the requested numbers do not exist (no bound state, no stationary
-point, weight undefined, and so on).
+point, weight undefined, and so on).  A scan still writes a row for
+every grid point, with empty cells where a solve failed, and exits 3 if
+any did.
 
 The generic solver (dos, et_core, and numpy with them) is imported
 inside the commands that run it, so that table1 and --help start
@@ -393,25 +395,35 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
     if with_ratio:
         header += ["c1", "c2", "delta"]
 
-    rows = []
+    # a solve that fails leaves its own cells empty and says why on stderr
+    rows, failed = [], False
     for x, spec, shift, nu, lam in points:
-        plain, _ = improved_energy_at(spec, nu, lam, 2.0)
-        improved, pres = improved_energy_at(spec, nu, lam)
-        cells = [f"{x:.12g}", f"{plain.E + shift:.12g}", f"{improved.E + shift:.12g}",
-                 f"{pres.phi:.12g}"]
+        cells = [f"{x:.12g}"]
+        for phi in (2.0, None):
+            try:
+                sol, pres = improved_energy_at(spec, nu, lam, phi)
+            except EtkitError as exc:
+                print(f"{axis}={x:.12g}: {type(exc).__name__}: {exc}", file=sys.stderr)
+                failed = True
+                cells += [""] if phi else ["", ""]
+                continue
+            cells.append(f"{sol.E + shift:.12g}")
+            if pres is not None:
+                cells.append(f"{pres.phi:.12g}")
         if with_ratio:
             c1, c2, delta = bsq_ratio_coeffs(x)
             cells += [f"{c1:.12g}", f"{c2:.12g}", f"{delta:.12g}"]
         rows.append(cells)
-    return header, rows
+    return header, rows, failed
 
 
-def _run_scan(args: argparse.Namespace) -> None:
+def _run_scan(args: argparse.Namespace) -> int:
     settings = _collect_settings(args, ("phi", args.axis))
     target = _csv_target(args.csv)
-    header, rows = _scan_rows(args, settings)
+    header, rows, failed = _scan_rows(args, settings)
     text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
     _emit(target, text)
+    return 3 if failed else 0
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -461,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "table1":
             _run_table1(args)
         else:
-            _run_scan(args)
+            return _run_scan(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

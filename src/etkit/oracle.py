@@ -7,9 +7,7 @@ Solves the reduced radial problem
 by outward Numerov integration.  Each level is isolated by bisection on
 the node count, only until the bracket ends hold n_r and n_r + 1 nodes;
 across that bracket the edge value u(rmax) changes sign once, at the
-level, and Brent's method converges on that zero.  A bracket whose
-lower end already lies at or above the potential's large-distance limit
-holds no bound level, and is returned without that refinement.
+level, and Brent's method converges on that zero.
 
 Nothing here touches the envelope machinery beyond that generic root
 finder: this is the reference the approximate energies and their
@@ -38,16 +36,15 @@ negative, whatever the step, and a recurrence through them flips sign at
 spurious nodes: every pass starts at mesh point i0 = floor(sqrt(l(l+1) /
 12)) + 2, past that region, from the small-r series of u.
 
-Until a level has been shot, each box first takes a Langer-WKB estimate
-of it from the potential samples it already holds, which costs no
-Numerov sweep.  A box in which the estimate, lowered by a safety
-margin, already fails the box test is skipped unshot.  The first box
-that is shot starts its bracket at +-1 % around the estimate, and each
-larger box after it at +-1e-3 around the level found in the previous
-one.  The estimate is solved only to 1e-5 relative (_WKB_TOL), a
-thousandth of that bracket's half-width and less still of the skip
-margin: far inside the ~1 % by which WKB itself misses the level, and
-enough to leave every bracket and skip where the exact root would.
+Every box follows one rule.  It first takes a Langer-WKB estimate of
+the level from the potential samples it already holds, which costs no
+Numerov sweep.  A box in which the estimate, lowered by a safety margin,
+already fails the box test is skipped unshot; any other box starts its
+bracket at +-1 % around the estimate.  The estimate is solved only to
+1e-5 relative (_WKB_TOL), a thousandth of that bracket's half-width and
+less still of the skip margin: far inside the ~1 % by which WKB itself
+misses the level, and enough to leave every bracket and skip where the
+exact root would.
 """
 
 from __future__ import annotations
@@ -69,8 +66,6 @@ _TURNING_FRACTION = 0.6
 _MIN_TAIL_ACTION = 15.0
 _MAX_BOX_GROWTHS = 14
 _MAX_UNBOUND_ROUNDS = 5
-# half-width of a warm-started bracket, relative to the previous level
-_WARM_SPAN = 1e-3
 # half-width of the bracket around a WKB estimate, relative to it; the
 # Langer estimate is within ~1 % on the power-law levels tried, and a
 # miss only widens the bracket
@@ -296,21 +291,13 @@ class _Shooter:
             step *= 2.0
         return None, missed
 
-    def solve(
-        self,
-        n_r: int,
-        guess: float | None = None,
-        span: float = _WARM_SPAN,
-        asym: float = math.inf,
-    ) -> float:
+    def solve(self, n_r: int, guess: float | None = None, span: float = _SEED_SPAN) -> float:
         """Level with n_r nodes: node-count bisection, then Brent on u(rmax).
 
-        guess, the level found in a smaller box or a WKB estimate, starts
-        the bracket at +-span relative around it; without one, the
-        bracket starts from the extremes of the effective potential.  A
-        shot that misses one end of the bracket is kept as the other end.
-        Once the level is isolated, a lower end unbound against asym (the
-        potential's large-distance limit) is returned unrefined.
+        guess, a WKB estimate or the level on a coarser mesh, starts the
+        bracket at +-span relative around it; without one, the bracket
+        starts from the extremes of the effective potential.  A shot that
+        misses one end of the bracket is kept as the other end.
         """
         if guess is None:
             lo = float(np.min(self.veff[1:]))
@@ -339,10 +326,6 @@ class _Shooter:
                 lo, n_lo, u_lo = mid, n_mid, u_mid
             else:
                 hi, n_hi, u_hi = mid, n_mid, u_mid
-        if _unbound(lo, asym):
-            # the level lies above lo, so it is unbound too: converging
-            # on it would only be thrown away
-            return lo
         try:
             return _brent(self.edge, lo, hi, rtol=_ETOL, atol=_ETOL, fa=u_lo, fb=u_hi)
         except (RuntimeError, ValueError) as exc:
@@ -461,7 +444,6 @@ def radial_eigenvalue(
                            f"potential ({bottom:.6g} >= {asym:.6g})")
     box = rmax if fixed else max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip]))
     unbound_rounds = 0
-    e = None
 
     for _ in range(_MAX_BOX_GROWTHS):
         n = npoints if fixed else int(min(25000.0, max(1000.0, 40.0 * box)))
@@ -485,15 +467,12 @@ def radial_eigenvalue(
                     raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
                 n = math.ceil(floor)
                 shooter = _Shooter(mu, potential, l, box, n, laurent)
-        guess, span = e, _WARM_SPAN
-        if e is None:
-            # no level shot yet: skip the boxes WKB already rules out,
-            # and seed the first solved box with the estimate
-            guess, span = shooter.wkb_level(n_r), _SEED_SPAN
-            if not fixed and shooter.too_small(guess, asym):
-                box *= 1.8
-                continue
-        e = shooter.solve(n_r, guess=guess, span=span, asym=asym)
+        # skip a box WKB already rules out; seed any other with the estimate
+        guess = shooter.wkb_level(n_r)
+        if not fixed and shooter.too_small(guess, asym):
+            box *= 1.8
+            continue
+        e = shooter.solve(n_r, guess=guess)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
         # was being squeezed
@@ -525,7 +504,7 @@ def radial_eigenvalue(
         return e
     # E(2n) is bracketed by the largest change accepted, which bounds the error
     fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(
-        n_r, guess=e, span=_RICHARDSON_TOL, asym=asym)
+        n_r, guess=e, span=_RICHARDSON_TOL)
     if abs(fine - e) > _RICHARDSON_TOL * max(1.0, abs(e)):
         raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
                                f"the {n} mesh points of rmax={box:.6g}")

@@ -1,10 +1,10 @@
 """Scalar special functions used by the closed-form systems.
 
 Three functions live here: the principal branch of the Lambert W
-function, the positive root of the quartic 4x^4 - 8x = 3Y, and the
-Euler beta function.  All of them are needed by analytic energy or phi
-formulas, and all are plain float -> float maps with explicit domain
-checks.
+function, the positive root of the quartic 4x^4 - 8x = 3Y (by Newton's
+method), and the Euler beta function.  All of them are needed by
+analytic energy or phi formulas, and all are plain float -> float maps
+with explicit domain checks.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ __all__ = ["lambert_w0", "quartic_root_g", "beta"]
 _BRANCH_POINT = -math.exp(-1.0)
 # inputs this far below -1/e are treated as rounding noise and clamped
 _BRANCH_SLACK = 1e-14
+# Newton steps of the quartic root; at most 8 are taken on [0, 1e308]
+_NEWTON_MAXITER = 50
 
 
 def lambert_w0(z: float) -> float:
@@ -78,51 +80,29 @@ def lambert_w0(z: float) -> float:
     return w
 
 
-def _cubic_v(y: float) -> float:
-    """Unique positive root of V^3 + 3*Y*V - 4 = 0 for Y >= 0.
-
-    This is the resolvent of the quartic below.  The Cardano radicals
-    cancel catastrophically for both small and large Y, so the
-    difference of cube roots is rationalised and, for large Y, replaced
-    by Newton iteration on the cubic itself.
-    """
-    if y > 10.0:
-        # Newton from the asymptote V ~ 4/(3Y); converges monotonically
-        v = 4.0 / (3.0 * y)
-        for _ in range(8):
-            f = v * v * v + 3.0 * y * v - 4.0
-            fp = 3.0 * v * v + 3.0 * y
-            step = f / fp
-            v -= step
-            if abs(step) <= 1e-16 * v:
-                break
-        return v
-    s = math.sqrt(4.0 + y * y * y)
-    a = (s + 2.0) ** (1.0 / 3.0)
-    # s - 2 rationalised: avoids cancellation as Y -> 0
-    b = (y * y * y / (s + 2.0)) ** (1.0 / 3.0)
-    # a - b rationalised via a^3 - b^3 = 4
-    return 4.0 / (a * a + a * b + b * b)
-
-
-def _quartic_residual(x: float, y: float) -> float:
-    return 4.0 * x ** 4 - 8.0 * x - 3.0 * y
-
-
 def quartic_root_g(y: float) -> float:
     """The only positive root of 4x^4 - 8x = 3Y, for Y >= 0.
 
-    The closed form goes through the resolvent cubic; a residual out of
-    tolerance raises ConvergenceError.
+    Newton's method on x^3 - 2 - 3Y/(4x), the quartic divided by 4x,
+    which cannot overflow for finite Y.  It starts from the upper bound
+    (3Y/4)^(1/4) + 2^(1/3); above the root the function is increasing and
+    convex, so every step falls toward the root, and the iteration stops
+    once a step no longer lowers x.  A residual out of tolerance, or NaN,
+    raises ConvergenceError.
     """
     if not math.isfinite(y) or y < 0.0:
         raise DomainError(f"quartic_root_g needs Y >= 0, got {y!r}")
 
-    v = _cubic_v(y)
-    rv = math.sqrt(v)
-    x = 0.5 * (rv + math.sqrt(max(0.0, 4.0 / rv - v)))
+    c = 0.75 * y
+    x = c ** 0.25 + 2.0 ** (1.0 / 3.0)
+    for _ in range(_NEWTON_MAXITER):
+        step = (x * x * x - 2.0 - c / x) / (3.0 * x * x + c / (x * x))
+        if not x - step < x:
+            break
+        x -= step
 
-    if abs(_quartic_residual(x, y)) > 1e-10 * max(1.0, y):
+    # |4x^4 - 8x - 3Y| <= 1e-10 max(1, Y), divided by 4x
+    if not abs(x * x * x - 2.0 - c / x) <= 1e-10 * max(1.0, y) / (4.0 * x):
         raise ConvergenceError(f"quartic_root_g({y!r}) did not reach tolerance")
     return x
 

@@ -506,6 +506,41 @@ class TestScan:
         assert res.returncode == 2
 
 
+class TestScanAcrossAThreshold:
+    # the two-body Gaussian well stops binding between lambda = 1 and 1.5
+    GAUSSIAN = ["scan", "--system", "gaussian", "--m", "1", "--V0", "5", "--R", "2",
+                "--N", "2", "--nu", "1", "--axis", "lambda"]
+    UNBOUND = "NoBoundState: gaussian system does not bind at q={}: scaled number {} lies below -1/e"
+
+    def test_unbound_points_leave_their_cells_empty(self, capsys):
+        # the first unbound solve ended the scan with exit 3 and no CSV
+        assert cli.main([*self.GAUSSIAN, "--grid", "0.5:2:4"]) == 3
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "lambda,E_phi2,E_dos,phi_dos"
+        assert lines[3:] == ["1.5,,0.669455123693,1.78203717872", "2,,,"]
+        assert err.splitlines() == [
+            "lambda=1.5: " + self.UNBOUND.format("3.5", "-0.391312"),
+            "lambda=2: " + self.UNBOUND.format("4", "-0.447214"),
+            "lambda=2: " + self.UNBOUND.format("3.67017", "-0.410337"),
+        ]
+        # the rows that solve are those of a scan over them alone
+        assert cli.main([*self.GAUSSIAN, "--grid", "0.5:1:2"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines[:3]
+
+    def test_zero_lambda_keeps_the_plain_energy(self, capsys):
+        # the weight is undefined at lambda = 0; that ended the scan too
+        assert cli.main([*self.GAUSSIAN, "--grid", "0:1:3"]) == 3
+        out, err = capsys.readouterr()
+        header, rows = csv_rows(out)
+        assert len(rows) == 3
+        assert rows[0]["E_phi2"] != ""
+        assert (rows[0]["E_dos"], rows[0]["phi_dos"]) == ("", "")
+        assert all(row[key] != "" for row in rows[1:] for key in header)
+        assert len(err.splitlines()) == 1
+        assert err.startswith("lambda=0: PhiUndefined: ")
+
+
 class TestKeysACommandSets:
     # a valid sweep of each axis; scan sets the swept key and phi itself
     SCANS = {

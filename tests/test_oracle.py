@@ -431,7 +431,7 @@ class TestHighOrbital:
             assert np.any(f[1:i0 - 1] < 0.0)
 
 
-class TestWarmStart:
+class TestBracketGuess:
     @pytest.mark.parametrize("shift", [0.0, 1e-4, -0.05, 0.3])
     @pytest.mark.parametrize("potential,l,n_r", [(OSC, 1, 2), (COULOMB, 0, 1)])
     def test_guess_does_not_move_the_level(self, potential, l, n_r, shift):
@@ -439,8 +439,28 @@ class TestWarmStart:
             0.5, potential, l, 40.0, 8000, oracle._probe(potential, 0.5)[3]
         )
         cold = shooter.solve(n_r)
-        warm = shooter.solve(n_r, guess=cold * (1.0 + shift))
-        assert warm == pytest.approx(cold, rel=1e-12)
+        guessed = shooter.solve(n_r, guess=cold * (1.0 + shift))
+        assert guessed == pytest.approx(cold, rel=1e-12)
+
+    def test_box_grows_after_a_shot(self, monkeypatch):
+        # the first box shot for this level fails the box test; the next
+        # box is bracketed from its own estimate like every other
+        shot, verdicts = [], []
+        solve, holds = oracle._Shooter.solve, oracle._Shooter.holds
+
+        def solved(self, *args, **kwargs):
+            shot.append(self)
+            return solve(self, *args, **kwargs)
+
+        def judged(self, e):
+            verdicts.append((self in shot, holds(self, e)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(oracle._Shooter, "solve", solved)
+        monkeypatch.setattr(oracle._Shooter, "holds", judged)
+        level = radial_eigenvalue(0.5, _power_pair(-1.0, 1.1), l=0, n_r=1)
+        assert level == pytest.approx(-0.075625, rel=1e-10)
+        assert (True, False) in verdicts
 
 
 class TestPotentialSampling:

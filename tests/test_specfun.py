@@ -109,12 +109,19 @@ class TestQuarticRoot:
             quartic_root_g(-1.0)
 
     def test_residual_out_of_tolerance_raises(self, monkeypatch):
-        # a resolvent root off by 1 % leaves the quartic residual far out
+        # with no Newton step the root stays at its upper bound, far out
         # of tolerance
-        cubic_v = specfun._cubic_v
-        monkeypatch.setattr(specfun, "_cubic_v", lambda y: 1.01 * cubic_v(y))
+        monkeypatch.setattr(specfun, "_NEWTON_MAXITER", 0)
         with pytest.raises(ConvergenceError, match="did not reach tolerance"):
             quartic_root_g(1.0)
+
+    @pytest.mark.parametrize("y", [1e308, 1.7e308])
+    def test_largest_inputs_stay_finite(self, y):
+        # the residual 4x^4 - 8x - 3Y overflowed to NaN here, and the NaN
+        # passed the tolerance check
+        x = quartic_root_g(y)
+        assert math.isfinite(x)
+        assert x**3 - 2.0 - 0.75 * y / x == pytest.approx(0.0, abs=1e-12 * x**3)
 
     @given(st.floats(min_value=0.0, max_value=1e300))
     @settings(max_examples=150)

@@ -213,6 +213,13 @@ class TestConfined:
             2.0 * math.sqrt(2.0 * g_minus / y + 1.0), rel=1e-12
         )
 
+    def test_closed_forms_at_the_largest_scaled_number(self):
+        # Y = 1.33e308 here: both closed forms returned NaN; the Coulomb
+        # part is negligible, so the oscillator values omega q and 2 remain
+        params = ConfinedParams(m=1.0, omega=1.0, g=1.0)
+        assert confined_energy(params, 2, 5e153) == pytest.approx(5e153, rel=1e-12)
+        assert confined_phi(params, 2, 5e153) == pytest.approx(2.0, rel=1e-12)
+
     def test_bound_tag(self):
         assert confined_system(ConfinedParams(m=1.0, omega=1.0, g=0.5), 2).bound is Bound.LOWER
 
