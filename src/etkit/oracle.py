@@ -5,46 +5,38 @@ Solves the reduced radial problem
     -u''/(2 mu) + [V(r) + l(l+1)/(2 mu r^2)] u = E u,   u(0) = u(rmax) = 0
 
 by outward Numerov integration.  Each level is isolated by bisection on
-the node count, only until the bracket ends hold n_r and n_r + 1 nodes;
-across that bracket the edge value u(rmax) changes sign once, at the
-level, and Brent's method converges on that zero.
+the node count until the bracket ends hold n_r and n_r + 1 nodes; across
+that bracket u(rmax) changes sign once, at the level, and Brent's method
+converges on that zero.  Nothing here touches the envelope machinery
+beyond that root finder: this is the reference the approximate energies
+are tested against.
 
-Nothing here touches the envelope machinery beyond that generic root
-finder: this is the reference the approximate energies and their
-variational tags are tested against.  A caller's mesh (rmax and npoints,
-both or neither) is checked once, before any pass, for a Numerov factor
-f <= 0 at the lowest V_eff on it, and its level has an error O(h^4) in
-the step h.  One call samples V at r = 1e-8 and 5e-9, which fix the
-Coulomb part of the small-r start, and on a log grid from 1e-3 / sqrt(mu)
-to 1e7: where V_eff never dips below V's limit at large r there is no
-level (NoBoundState at once).  Otherwise the first box reaches twice as
-far as the lowest V_eff.  A box of length L gets 40 L
-points, within [1000, 25000], raised to keep the Numerov factor >= 1/2
-above that lowest V_eff; it grows until the classical turning point is
-within 60% of it and the WKB tail action beyond is >= 15.  The final
-box is solved again on twice its n points, from +-1e-6 around E(n): the
-error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6), and
-|E(2n) - E(n)| bounds it (ConvergenceError above 1e-6 max(1, |E|)).
+One call samples V near the origin, for the Coulomb part of the small-r
+start, and on a log grid out to 1e7: where V_eff never dips below V's
+limit at large r there is no level (NoBoundState at once).  On that grid
+the Langer-WKB condition gives the level's own scale (_wkb_scale), which
+seeds a +-1 % bracket and sets the first box and the mesh step; without
+it the first box reaches twice as far as the lowest V_eff, with 40 points
+per unit length within [1000, 25000].  Either mesh keeps the Numerov
+factor >= 1/2 above the lowest V_eff, up to 2^20 points.  A box grows by
+1.8 until the turning point is within 60% of it and the tail action
+beyond is >= 15.  The final box is solved again on twice its n points:
+the error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6).
+While |E(2n) - E(n)| is above 5e-8 of |E| (or of 1e-3 of the level's WKB
+kinetic energy) the mesh doubles again (ConvergenceError past 2^20 points).  A
+caller's mesh (rmax and npoints, both or neither) is checked once,
+before any pass, for a Numerov factor f <= 0 at the lowest V_eff on it;
+a Langer-WKB estimate on that mesh seeds its bracket, and its level has
+an error O(h^4).
 
 One Numerov driver (_numerov) runs every pass, on y = f u, and checks
-for overflow once per chunk of steps instead of at every step.  The
-node-counting pass serves the bracket walk, the bisection and the final
-node check.  The edge-only pass serves Brent; it differs only in
-skipping the node test, and gives the same edge value bit for bit.  For
-l >= 3 the Numerov factor of the first ~l / 3.5 mesh points is
-negative, whatever the step, and a recurrence through them flips sign at
-spurious nodes: every pass starts at mesh point i0 = floor(sqrt(l(l+1) /
-12)) + 2, past that region, from the small-r series of u.
-
-Every box follows one rule.  It first takes a Langer-WKB estimate of
-the level from the potential samples it already holds, which costs no
-Numerov sweep.  A box in which the estimate, lowered by a safety margin,
-already fails the box test is skipped unshot; any other box starts its
-bracket at +-1 % around the estimate.  The estimate is solved only to
-1e-5 relative (_WKB_TOL), a thousandth of that bracket's half-width and
-less still of the skip margin: far inside the ~1 % by which WKB itself
-misses the level, and enough to leave every bracket and skip where the
-exact root would.
+for overflow once per chunk of steps.  The node-counting pass serves the
+bracket walk, the bisection and the final node check; the edge-only pass
+serves Brent and gives the same edge value bit for bit.  For l >= 3 the
+Numerov factor of the first ~l / 3.5 mesh points is negative, whatever
+the step, and a recurrence through them flips sign at spurious nodes:
+every pass starts at mesh point i0 = floor(sqrt(l(l+1) / 12)) + 2, past
+that region, from the small-r series of u.
 """
 
 from __future__ import annotations
@@ -66,36 +58,29 @@ _TURNING_FRACTION = 0.6
 _MIN_TAIL_ACTION = 15.0
 _MAX_BOX_GROWTHS = 14
 _MAX_UNBOUND_ROUNDS = 5
-# half-width of the bracket around a WKB estimate, relative to it; the
-# Langer estimate is within ~1 % on the power-law levels tried, and a
-# miss only widens the bracket
+# half-width of the bracket around a WKB estimate, relative to it; Langer
+# misses the power-law levels tried by ~1 %, and a miss widens the bracket
 _SEED_SPAN = 0.01
-# how far below its WKB estimate a level may lie, as a fraction of its
-# depth below the asymptote or its height above the Langer minimum,
-# whichever is smaller (the worst miss seen is 1.5 %)
-_SKIP_MARGIN = 0.05
-# tolerance of the WKB estimate, relative to it and to the depth of the
-# Langer well: the estimate only centres a bracket of half-width
-# _SEED_SPAN and feeds a skip test with margin _SKIP_MARGIN, so an error
-# a thousandth of the smaller of the two leaves both as they were
-_WKB_TOL = 1e-3 * min(_SEED_SPAN, _SKIP_MARGIN)
+# tolerance of the WKB estimate on a caller's mesh, relative to it and to
+# the depth of the Langer well: a thousandth of the bracket's half-width
+_WKB_TOL = 1e-3 * _SEED_SPAN
+# WKB phase per step of an adaptive mesh, h k_max: the largest local wave
+# number, at the WKB level above the bottom of the Langer well
+_STEP_PHASE = 0.045
 
 # Numerov steps between two overflow checks
 _CHUNK = 2048
 # tolerance of a level: relative above |E| = 1, absolute below
 _ETOL = 1e-13
-# largest change of an adaptive level from n to 2n mesh points, relative
-# above |E| = 1 and absolute below; most points of an adaptive mesh
-_RICHARDSON_TOL = 1e-6
+# largest change of an adaptive level from n to 2n mesh points, relative to
+# |E| (or a thousandth of its WKB kinetic energy, if larger) before the mesh
+# doubles again: smooth potentials move < 2.3e-8 on the level-scale mesh
+_RICHARDSON_TOL = 5e-8
 _MAX_POINTS = 1 << 20
 
-# one Numerov shot: (energy, interior node count, u at the box edge)
-_Shot = tuple[float, int, float]
 
-
-def _probe(
-    potential: InteractionTriple, mu: float
-) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
+def _probe(potential: InteractionTriple,
+           mu: float) -> tuple[np.ndarray, np.ndarray, float, tuple[float, float]]:
     """Radii, V at them, V's large-distance limit and the origin pair, from one call.
 
     The call holds 1e-8 and 5e-9, then 400 radii from 1e-3 / sqrt(mu) to
@@ -133,14 +118,61 @@ def _probe(
     return radii[2:], values[2:], limit, (a, b)
 
 
+def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int, asym: float,
+               coulomb: float) -> tuple[float, float, float] | None:
+    """Langer-WKB level, first box and mesh step from the probe samples.
+
+    The phase of sqrt(2 mu (E - V_Langer)), V_eff with l(l+1) -> (l + 1/2)^2,
+    sums over the probe's first 400 (log-spaced) radii.  Bisection over the
+    sorted samples of V_Langer finds the cell of the level, within which no
+    point enters the allowed region, and Brent solves it to 1e-3 of the cell.
+    The box reaches 1.05 times past the turning point over _TURNING_FRACTION
+    and past where the tail action reaches 1.1 _MIN_TAIL_ACTION.  The step is
+    _STEP_PHASE / k_max, k_max^2 = 2 mu (E - min V_Langer) + (2 mu coulomb /
+    (l + 1))^2: with a Coulomb part the small-r start is only O(h^5).  None
+    when the samples hold no level below the asymptote.
+    """
+    r, veff = radii[:400], veff[:400]
+    weight = math.sqrt(2.0 * mu) * math.log(r[1] / r[0]) * r
+    langer = veff + 1.0 / (8.0 * mu * r * r)
+    target = math.pi * (n_r + 0.5)
+
+    def phase(e: float) -> float:
+        return _langer_phase(e, weight, langer) - target
+
+    cells = np.sort(langer[np.isfinite(langer) & (langer < asym)]).tolist()
+    # the phase is -target at the lowest sample and rises with e
+    lo, hi, f_lo, f_hi = 0, len(cells), -target, math.nan
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = phase(cells[mid])
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    if hi == len(cells):
+        return None
+    e = _brent(phase, cells[lo], cells[hi], atol=1e-3 * (cells[hi] - cells[lo]), fa=f_lo, fb=f_hi)
+    turn = int(np.flatnonzero(veff <= e)[-1])
+    tail = np.cumsum(weight[turn:] * np.sqrt(np.fmax(veff[turn:] - e, 0.0)))
+    reach = min(turn + int(np.searchsorted(tail, 1.1 * _MIN_TAIL_ACTION)), len(r) - 1)
+    box = 1.05 * max(float(r[min(turn + 1, reach)]) / _TURNING_FRACTION, float(r[reach]))
+    k_sq = 2.0 * mu * (e - cells[0]) + (2.0 * mu * coulomb / (l + 1.0)) ** 2
+    return e, box, _STEP_PHASE / math.sqrt(k_sq)
+
+
+def _langer_phase(e: float, weight: np.ndarray, langer: np.ndarray) -> float:
+    """WKB phase at e: the sum of weight sqrt(max(e - V_Langer, 0)) over the samples."""
+    return float(np.dot(weight, np.sqrt(np.fmax(e - langer, 0.0))))
+
+
 def _unbound(e: float, asym: float) -> bool:
     """Whether e sits at or above the potential's large-distance limit."""
     return e >= asym - 1e-12 * max(1.0, abs(asym))
 
 
-def _numerov(
-    f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1, count_nodes: bool = True
-) -> tuple[int, float]:
+def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
+             count_nodes: bool = True) -> tuple[int, float]:
     """One Numerov pass; returns (interior node count, u at the box edge).
 
     f holds the Numerov factors 1 + h^2 k^2 / 12 on the whole mesh.  The
@@ -199,15 +231,8 @@ def _numerov(
 class _Shooter:
     """Shooting machinery on a fixed box [0, rmax] with npoints steps."""
 
-    def __init__(
-        self,
-        mu: float,
-        potential: InteractionTriple,
-        l: int,
-        rmax: float,
-        npoints: int,
-        laurent: tuple[float, float],
-    ):
+    def __init__(self, mu: float, potential: InteractionTriple, l: int, rmax: float,
+                 npoints: int, laurent: tuple[float, float]):
         self.mu = mu
         self.l = l
         self.rmax = rmax
@@ -232,12 +257,7 @@ class _Shooter:
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
-        if l == 0:
-            self.g0 = 2.0 * mu * self.lau_a
-        elif l == 1:
-            self.g0 = 2.0
-        else:
-            self.g0 = 0.0
+        self.g0 = {0: 2.0 * mu * self.lau_a, 1: 2.0}.get(l, 0.0)
         # for l >= 3 the Numerov factor 1 - l(l+1) / (12 i^2) + O(h^2) of
         # the first mesh points is negative, and the recurrence would flip
         # sign there, counting spurious nodes: the passes start at i0,
@@ -248,9 +268,7 @@ class _Shooter:
         # u ~ r^(l+1) (1 + c1 r + c2 r^2) near the origin restores O(h^4)
         # for Coulomb-like potentials; returns the factor in brackets
         c1 = self.mu * self.lau_a / (self.l + 1.0)
-        c2 = (
-            self.mu * (self.lau_a * c1 + self.lau_b - e) / (2.0 * self.l + 3.0)
-        )
+        c2 = self.mu * (self.lau_a * c1 + self.lau_b - e) / (2.0 * self.l + 3.0)
         return 1.0 + r * (c1 + r * c2)
 
     def _numerov_input(self, e: float) -> tuple[np.ndarray, float, float, int]:
@@ -272,9 +290,8 @@ class _Shooter:
     def edge(self, e: float) -> float:
         return _numerov(*self._numerov_input(e), count_nodes=False)[1]
 
-    def _walk(
-        self, e: float, step: float, target: Callable[[int], bool]
-    ) -> tuple[_Shot | None, _Shot | None]:
+    def _walk(self, e: float, step: float,
+              target: Callable[[int], bool]) -> tuple[tuple | None, tuple | None]:
         """Shoot at e, then move it by step, doubling step, until target(nodes).
 
         Returns the first shot that meets the target and the last one
@@ -329,9 +346,8 @@ class _Shooter:
         try:
             return _brent(self.edge, lo, hi, rtol=_ETOL, atol=_ETOL, fa=u_lo, fb=u_hi)
         except (RuntimeError, ValueError) as exc:
-            raise ConvergenceError(
-                f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: {exc}"
-            ) from exc
+            raise ConvergenceError(f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: "
+                                   f"{exc}") from exc
 
     def wkb_phase(self, e: float) -> float:
         """Langer-WKB phase: integral of sqrt(2 mu (e - V_eff) - 1/(4 r^2)).
@@ -380,31 +396,9 @@ class _Shooter:
         return (float(self.r[i]) <= _TURNING_FRACTION * self.rmax
                 and self._root_integral(self.veff[max(i, 1):] - e) >= _MIN_TAIL_ACTION)
 
-    def too_small(self, estimate: float | None, asym: float) -> bool:
-        """Whether the box test must fail for the level WKB puts at estimate.
 
-        Without an estimate the level lies above the edge value of the
-        Langer potential, which stands in for it.  That value, lowered by
-        _SKIP_MARGIN, must still fail the test; the test is monotonic in
-        the energy and a box only raises a level, so the level fails too.
-        A value not below the asymptote asym proves nothing, so that the
-        box is shot and the unbound-round rule sees it.
-        """
-        top = float(self.langer[-1]) if estimate is None else estimate
-        if _unbound(top, asym):
-            return False
-        low = top - _SKIP_MARGIN * min(asym - top, top - float(np.min(self.langer)))
-        return not self.holds(low)
-
-
-def radial_eigenvalue(
-    mu: float,
-    potential: InteractionTriple,
-    l: int,
-    n_r: int,
-    rmax: float | None = None,
-    npoints: int | None = None,
-) -> float:
+def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
+                      rmax: float | None = None, npoints: int | None = None) -> float:
     """Eigenvalue with n_r radial nodes and orbital momentum l.
 
     mu is the reduced mass; l and n_r are whole numbers >= 0, ints or
@@ -434,19 +428,29 @@ def radial_eigenvalue(
             raise DomainError(f"npoints must be a whole number, got {npoints!r}")
         npoints = int(npoints)
 
-    # no level lies below min V_eff, and the first box reaches twice as far out
+    # no level lies below min V_eff
     radii, values, asym, laurent = _probe(potential, mu)
+    # the Coulomb part the small-r start keeps, where A / r + B holds at r0
+    a, b = laurent
+    coulomb = a if abs(a / radii[0] + b - values[0]) <= 1e-3 * abs(values[0]) else 0.0
     veff = values + l * (l + 1) / (2.0 * mu * radii**2)
     dip = int(np.nanargmin(veff))
     bottom = float(veff[dip])
     if _unbound(bottom, asym):
         raise NoBoundState(f"V_eff for l={l} does not dip below the asymptotic "
                            f"potential ({bottom:.6g} >= {asym:.6g})")
-    box = rmax if fixed else max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip]))
-    unbound_rounds = 0
+    # without a WKB scale the first box reaches twice as far as the lowest
+    # V_eff, and a box of length L gets 40 L points within [1000, 25000]
+    guess, box, step = (None, rmax, None) if fixed else (
+        _wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
+        or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])), None))
+    unbound_rounds, n = 0, npoints
 
     for _ in range(_MAX_BOX_GROWTHS):
-        n = npoints if fixed else int(min(25000.0, max(1000.0, 40.0 * box)))
+        if not fixed:
+            n = math.ceil(box / step) if step else int(min(25000.0, max(1000.0, 40.0 * box)))
+            if n > _MAX_POINTS:
+                raise ConvergenceError(f"{n} mesh points needed for rmax={box:.6g}")
         shooter = _Shooter(mu, potential, l, box, n, laurent)
         if fixed:
             # where the Numerov factor f is not positive, u flips sign at
@@ -467,11 +471,8 @@ def radial_eigenvalue(
                     raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
                 n = math.ceil(floor)
                 shooter = _Shooter(mu, potential, l, box, n, laurent)
-        # skip a box WKB already rules out; seed any other with the estimate
-        guess = shooter.wkb_level(n_r)
-        if not fixed and shooter.too_small(guess, asym):
-            box *= 1.8
-            continue
+        if step is None:
+            guess = shooter.wkb_level(n_r)
         e = shooter.solve(n_r, guess=guess)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
@@ -479,33 +480,32 @@ def radial_eigenvalue(
         if _unbound(e, asym):
             unbound_rounds += 1
             if fixed or unbound_rounds >= _MAX_UNBOUND_ROUNDS:
-                raise NoBoundState(
-                    f"no level with n_r={n_r}, l={l} below the asymptotic "
-                    f"potential ({e:.6g} >= {asym:.6g})"
-                )
+                raise NoBoundState(f"no level with n_r={n_r}, l={l} below the asymptotic "
+                                   f"potential ({e:.6g} >= {asym:.6g})")
             box *= 1.8
             continue
         if fixed or shooter.holds(e):
             break
         box *= 1.8
     else:
-        raise ConvergenceError(
-            f"box did not stabilise below rmax={box:.6g}; is the state bound?"
-        )
+        raise ConvergenceError(f"box did not stabilise below rmax={box:.6g}; is the state bound?")
 
     if fixed and e < lowest:
         raise DomainError(f"the level {e:.6g} lies below V_eff on the mesh, {lowest:.6g}")
     nodes_below = shooter.shoot(e - 10.0 * _ETOL * max(1.0, abs(e)))[0]
     if nodes_below != n_r:
-        raise ConvergenceError(
-            f"converged level has {nodes_below} nodes, expected {n_r}"
-        )
+        raise ConvergenceError(f"converged level has {nodes_below} nodes, expected {n_r}")
     if fixed:
         return e
-    # E(2n) is bracketed by the largest change accepted, which bounds the error
-    fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(
-        n_r, guess=e, span=_RICHARDSON_TOL)
-    if abs(fine - e) > _RICHARDSON_TOL * max(1.0, abs(e)):
-        raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
-                               f"the {n} mesh points of rmax={box:.6g}")
-    return (16.0 * fine - e) / 15.0
+    # E(2n) is bracketed by the largest change accepted, which bounds the
+    # error, relative to |E| or to 1e-3 of the level's WKB kinetic energy
+    scale = max(abs(e), 1e-3 * (_STEP_PHASE / step) ** 2 / (2.0 * mu) if step else 1.0)
+    while True:
+        fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(
+            n_r, guess=e, span=_RICHARDSON_TOL)
+        if abs(fine - e) <= _RICHARDSON_TOL * scale:
+            return (16.0 * fine - e) / 15.0
+        if 4 * n > _MAX_POINTS:
+            raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
+                                   f"the {n} mesh points of rmax={box:.6g}")
+        n, e = 2 * n, fine

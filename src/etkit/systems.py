@@ -94,6 +94,27 @@ def _power(c: float, b: float, label: str) -> InteractionTriple:
     )
 
 
+def _powers(call: tuple, *terms: tuple[float, float]) -> float:
+    """The product of base ** exponent over the (base, exponent) terms.
+
+    Each power is taken on its own, so no intermediate leaves the float
+    range before the product does; where one power alone does, the
+    product is formed from logarithms.  Where the product itself
+    overflows, DomainError names the caller's call, (name, *arguments).
+    """
+    try:
+        out = math.prod(base ** exponent for base, exponent in terms)
+    except OverflowError:
+        out = math.inf
+    if 0.0 < out < math.inf:
+        return out
+    try:
+        return math.exp(math.fsum(exponent * math.log(base) for base, exponent in terms))
+    except OverflowError:
+        args = ", ".join(map(repr, call[1:]))
+        raise DomainError(f"{call[0]}({args}) overflows the float range") from None
+
+
 def _coulomb(c: float) -> InteractionTriple:
     """c / r and its two derivatives; the zero triple at c = 0."""
     if c == 0.0:
@@ -148,11 +169,13 @@ def powerlaw2_energy(p: PowerLaw2Params, N: int, q: float) -> float:
     require_particle_count(N)
     require_finite_positive("q", q)
     b = p.b
-    core = (
-        N * N * (N - 1.0) ** (2.0 - b) * p.a ** 2 * b * b * q ** (2.0 * b)
-        / (16.0 * p.m ** b)
-    )
-    return (b + 2.0) / b * core ** (1.0 / (b + 2.0))
+    root = 1.0 / (b + 2.0)
+    # (b + 2) / b times the (b + 2)-th root of
+    # N^2 (N - 1)^(2 - b) a^2 b^2 q^(2b) / (16 m^b)
+    return math.copysign(_powers(
+        ("powerlaw2_energy", p, N, q), ((b + 2.0) / abs(b), 1.0), (N, 2.0 * root),
+        (N - 1.0, (2.0 - b) * root), (abs(b) / 4.0, 2.0 * root), (p.a, 2.0 * root),
+        (q, 2.0 * b * root), (p.m, -b * root)), b)
 
 
 def powerlaw2_phi(b: float) -> float:
@@ -191,7 +214,10 @@ def powerlaw1_energy(p: PowerLaw1Params, N: int, q: float) -> float:
     require_particle_count(N)
     require_finite_positive("q", q)
     b = p.b
-    return (b + 1.0) / b * (N * p.a * b * q ** b) ** (1.0 / (b + 1.0))
+    root = 1.0 / (b + 1.0)
+    # (b + 1) / b times the (b + 1)-th root of N a b q^b
+    return _powers(("powerlaw1_energy", p, N, q),
+                   ((b + 1.0) / b, 1.0), (N * b, root), (p.a, root), (q, b * root))
 
 
 def powerlaw1_phi(b: float) -> float:
@@ -315,12 +341,9 @@ def confined_y(p: ConfinedParams, N: int, z: float) -> float:
     require_particle_count(N)
     if p.g == 0.0:
         raise DomainError("scaled number undefined at g = 0 (pure oscillator)")
-    return (
-        2.0 ** (16.0 / 3.0) / 3.0
-        / (N ** (4.0 / 3.0) * (N - 1.0) ** 2)
-        * (p.omega / (p.m * p.g * p.g)) ** (2.0 / 3.0)
-        * z * z
-    )
+    # the square of omega^(1/3) m^(-1/3) g^(-2/3) z, each power on its own
+    x = p.omega ** (1.0 / 3.0) * p.m ** (-1.0 / 3.0) * p.g ** (-2.0 / 3.0) * z
+    return 2.0 ** (16.0 / 3.0) / 3.0 / (N ** (4.0 / 3.0) * (N - 1.0) ** 2) * x * x
 
 
 def confined_ground_shift(p: ConfinedParams, D: int = 3) -> float:
@@ -341,9 +364,11 @@ def confined_energy(p: ConfinedParams, N: int, q: float) -> float:
     """
     require_particle_count(N)
     require_finite_positive("q", q)
-    if p.g == 0.0:
+    y = math.inf if p.g == 0.0 else confined_y(p, N, q)
+    if y == math.inf:
+        # no Coulomb term, or one negligible beside the oscillator
         return p.omega * q
-    gm = quartic_root_g(confined_y(p, N, q))
+    gm = quartic_root_g(y)
     return (
         N ** (2.0 / 3.0) * (N - 1.0) / 2.0 ** (5.0 / 3.0)
         * (p.m * p.omega ** 2 * p.g ** 2) ** (1.0 / 3.0)
@@ -355,9 +380,10 @@ def confined_phi(p: ConfinedParams, N: int, lam: float) -> float:
     """phi = 2 sqrt(1 + 2 G(Y(lambda))/Y(lambda)); exactly 2 at g = 0."""
     require_particle_count(N)
     require_finite_positive("lambda", lam)
-    if p.g == 0.0:
+    y = math.inf if p.g == 0.0 else confined_y(p, N, lam)
+    if y == math.inf:
+        # no Coulomb term, or one negligible beside the oscillator
         return 2.0
-    y = confined_y(p, N, lam)
     gm = quartic_root_g(y)
     return 2.0 * math.sqrt(2.0 * gm / y + 1.0)
 

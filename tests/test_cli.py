@@ -1,9 +1,14 @@
-"""End-to-end checks of the command line front end via subprocess.
+"""End-to-end checks of the command line front end.
 
-Configuration errors are checked in-process through ``cli.main``.
+Most run in-process through ``cli.main``, with stdout and stderr captured
+and a SystemExit read as the exit code.  A few start ``python -m
+etkit.cli`` in a child interpreter: the module entry with its exit codes
+0, 2 and 3, one ``--help`` and one config-file run.
 """
 
 import argparse
+import contextlib
+import io
 import math
 import subprocess
 import sys
@@ -17,6 +22,18 @@ GOLDEN = Path(__file__).parent / "data" / "table1_all.csv"
 
 
 def run_cli(*args):
+    """cli.main(args) in this process, as the console would run it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(["etkit", *args], code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args):
+    """``python -m etkit.cli`` with args, in a child interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "etkit.cli", *args],
         capture_output=True,
@@ -42,7 +59,8 @@ def csv_rows(text):
 
 class TestSolve:
     def test_baryon_ground_state(self):
-        res = run_cli(
+        # through the module entry: exit code 0
+        res = run_module(
             "solve",
             "--system", "baryon",
             "--N", "3",
@@ -74,7 +92,8 @@ class TestSolve:
         assert fields["bound"] == "upper"
 
     def test_unbound_well_reports_failure(self):
-        res = run_cli(
+        # through the module entry: exit code 3
+        res = run_module(
             "solve",
             "--system", "gaussian",
             "--m", "1",
@@ -132,11 +151,17 @@ class TestSolve:
         assert float(stdout_fields(res.stdout)["E"]) == pytest.approx(1.0, rel=1e-10)
 
     def test_missing_parameter_is_a_config_error(self):
-        res = run_cli(
+        # through the module entry: exit code 2
+        res = run_module(
             "solve", "--system", "gaussian", "--m", "1", "--V0", "5", "--q", "1.5"
         )
         assert res.returncode == 2
         assert "config error" in res.stderr
+
+    def test_help_through_the_module_entry(self):
+        res = run_module("--help")
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage:") and not res.stderr
 
 
 class TestConfigErrors:
@@ -242,9 +267,10 @@ class TestConfigFile:
     )
 
     def test_config_matches_flags(self, tmp_path):
+        # through the module entry
         cfg = tmp_path / "baryon.cfg"
         cfg.write_text(self.CONFIG)
-        res = run_cli("solve", "--config", str(cfg))
+        res = run_module("solve", "--config", str(cfg))
         assert res.returncode == 0
         assert float(stdout_fields(res.stdout)["E"]) == pytest.approx(
             1.94455513894, rel=1e-9

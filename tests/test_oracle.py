@@ -239,6 +239,86 @@ class TestCallerMesh:
             radial_eigenvalue(0.5, OSC, l=0, n_r=0, rmax=12.0, npoints=500)
 
 
+class TestGuards:
+    """Each refusal the solver keeps reached once, on a small mesh."""
+
+    def _shooter(self, npoints=300):
+        return oracle._Shooter(0.5, OSC, 0, 6.0, npoints, oracle._probe(OSC, 0.5)[3])
+
+    def test_guess_too_far_below_cannot_be_bracketed(self):
+        # at E = -1e6 the Numerov factor is negative over the whole mesh, so
+        # every shot of the downward walk counts spurious nodes
+        with pytest.raises(ConvergenceError, match="from below"):
+            self._shooter().solve(0, guess=-1e6)
+
+    def test_guess_too_small_cannot_be_bracketed(self):
+        # a bracket of +-1 % around 1e-300 doubles 80 times and stays far
+        # below the level 3
+        with pytest.raises(ConvergenceError, match="from above"):
+            self._shooter().solve(0, guess=1e-300)
+
+    def test_node_count_jump_returns_the_jump(self, monkeypatch):
+        # no energy with exactly one node: the bisection closes on the jump
+        # from 0 to 2 nodes, and the final node check judges what it returns
+        shooter = self._shooter()
+        monkeypatch.setattr(shooter, "shoot", lambda e: (0 if e < 4.0 else 2, 1.0))
+        assert shooter.solve(1, guess=4.0) == pytest.approx(4.0, rel=1e-12)
+
+    def test_failed_edge_refinement(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("no convergence in 100 iterations")
+
+        monkeypatch.setattr(oracle, "_brent", no_convergence)
+        with pytest.raises(ConvergenceError, match="edge-value refinement failed"):
+            self._shooter(3000).solve(0, guess=3.0)
+
+    def test_box_that_never_holds(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_BOX_GROWTHS", 2)
+        monkeypatch.setattr(oracle._Shooter, "holds", lambda self, e: False)
+        with pytest.raises(ConvergenceError, match="box did not stabilise"):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0)
+
+    def test_level_with_the_wrong_node_count(self, monkeypatch):
+        solve = oracle._Shooter.solve
+        monkeypatch.setattr(oracle._Shooter, "solve",
+                            lambda self, n_r, guess=None, span=oracle._SEED_SPAN:
+                            solve(self, n_r + 1, None, span))
+        with pytest.raises(ConvergenceError, match="has 1 nodes, expected 0"):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0)
+
+    def test_level_that_moves_on_the_finer_mesh(self, monkeypatch):
+        # the Richardson bound: a level that keeps moving by more than 5e-8
+        # as the mesh doubles is refused once the next mesh would pass the
+        # point limit, not extrapolated
+        solve = oracle._Shooter.solve
+
+        def moving(self, n_r, guess=None, span=oracle._SEED_SPAN):
+            level = solve(self, n_r, guess, span)
+            return level + 1e-2 * math.sqrt(self.h) if span == oracle._RICHARDSON_TOL else level
+
+        monkeypatch.setattr(oracle._Shooter, "solve", moving)
+        monkeypatch.setattr(oracle, "_MAX_POINTS", 4 * _scale_box(OSC, 0, 0)[1])
+        with pytest.raises(ConvergenceError, match="moved"):
+            radial_eigenvalue(0.5, OSC, l=0, n_r=0)
+
+    @pytest.mark.parametrize("shift,n_r", [(3.0, 0), (7.0, 1)])
+    def test_level_at_zero_energy(self, shift, n_r):
+        # r^2 - shift puts the level at E = 0: a change between n and 2n
+        # points relative to |E| alone never settled, and the mesh doubled
+        # to 2^20 points before ConvergenceError; below a thousandth of the
+        # level's WKB kinetic energy, that thousandth is the scale
+        pot = InteractionTriple(lambda r: r * r - shift, OSC.d1, OSC.d2, "shifted r^2")
+        assert radial_eigenvalue(0.5, pot, l=0, n_r=n_r) == pytest.approx(0.0, abs=1e-9)
+
+    def test_origin_value_too_large_to_extrapolate(self):
+        # 1.7e308 at both near-origin probes: the constant term of the
+        # origin pair overflows, and is dropped rather than carried as inf
+        pot = InteractionTriple(lambda r: np.where(r < 1e-6, 1.7e308, r * r),
+                                OSC.d1, OSC.d2, "r^2 with a spike")
+        assert oracle._probe(pot, 0.5)[3] == (0.0, 0.0)
+        assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
+
+
 class TestAgainstEnvelope:
     def test_quadratic_pair_is_reproduced_exactly(self):
         # for b = 2 the two-body estimate is exact: both routes give 3
@@ -251,6 +331,25 @@ class TestAgainstEnvelope:
 def _power_pair(b: float, a: float) -> InteractionTriple:
     """V = sgn(b) a r^b, the pair potential of the two-body power-law system."""
     return powerlaw2_system(PowerLaw2Params(m=1.0, a=a, b=b), 2).pairwise
+
+
+def _walled(height: float) -> InteractionTriple:
+    """V = r^2 with a wall height (r - 3)^2 past r = 3."""
+    return InteractionTriple(lambda r: r * r + height * np.maximum(r - 3.0, 0.0) ** 2,
+                             OSC.d1, OSC.d2, "walled r^2")
+
+
+def _level_scale(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5):
+    """The WKB estimate, first box and mesh step that radial_eigenvalue starts from."""
+    radii, values, asym, laurent = oracle._probe(potential, mu)
+    veff = values + l * (l + 1) / (2.0 * mu * radii**2)
+    return oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
+
+
+def _scale_box(potential: InteractionTriple, l: int, n_r: int) -> tuple[float, int]:
+    """The first adaptive box from the level's WKB scale, and its mesh."""
+    _, box, step = _level_scale(potential, l, n_r)
+    return box, math.ceil(box / step)
 
 
 def _wrap_passes(monkeypatch, record) -> None:
@@ -317,12 +416,37 @@ class TestSweepBudget:
             radial_eigenvalue(0.5, well, l=l, n_r=n_r)
         assert count[0] <= ceiling
 
+    # the box and mesh from the level's own WKB scale: on the first box of
+    # 10 / sqrt(mu) and 40 points per unit of it, V = r^6 took 40 passes
+    # and 898 k steps, Coulomb (0, 10) 16 passes and 525 k steps, and
+    # e^(r^2) was refused for the 1.5e44 points its mesh floor asked for
+    @pytest.mark.parametrize(
+        "value,l,n_r,passes,steps",
+        [
+            (SEXTIC.value, 0, 0, 18, 3500),
+            (COULOMB.value, 10, 0, 16, 45000),
+            (lambda r: np.exp(r * r), 0, 0, 18, 3000),
+        ],
+        ids=["sextic", "coulomb_l10", "exp_r2"],
+    )
+    def test_mesh_from_the_level_scale(self, monkeypatch, value, l, n_r, passes, steps):
+        count = [0, 0]
+
+        def counted(f):
+            count[0] += 1
+            count[1] += len(f) - 1
+
+        _wrap_passes(monkeypatch, counted)
+        radial_eigenvalue(0.5, InteractionTriple(value, OSC.d1, OSC.d2, "V"), l=l, n_r=n_r)
+        assert count[0] <= passes and count[1] <= steps
+
     def test_coulomb_potential_calls(self):
         # one probe call that holds both Laurent points near the origin
         # (a call of its own before, two when each point was a scalar
         # call), the probe of V_eff and the three far-field points (three
-        # scalar calls before), one array call for each of the five boxes
-        # and one for the final box on twice the points
+        # scalar calls before), one array call for the box the level's
+        # WKB scale gives (one for each of five boxes before) and one for
+        # that box on twice the points
         calls = [0]
 
         def value(r):
@@ -332,7 +456,7 @@ class TestSweepBudget:
         counted = InteractionTriple(value, COULOMB.d1, COULOMB.d2, "-1/r")
         level = radial_eigenvalue(0.5, counted, l=0, n_r=1)
         assert level == pytest.approx(-0.0625, abs=1e-9)
-        assert calls[0] <= 7
+        assert calls[0] <= 3
 
 
 # two-body levels (b, n_r, l) whose exact value is known: oscillator,
@@ -399,12 +523,67 @@ class TestSteepPotential:
         reference = radial_eigenvalue(2.0, SEXTIC, l=l, n_r=n_r)
         assert level == pytest.approx(4.0 ** 0.75 * reference, rel=1e-9)
 
-    def test_mesh_too_large_to_build_is_refused(self):
-        # e^(r^2) reaches 7e86 at the edge of the first box: keeping the
-        # Numerov factor positive would take ~1.5e44 points
+    def test_steep_exponential_level_is_found(self):
+        # e^(r^2) reached 7e86 at the edge of the first box of 10 / sqrt(mu),
+        # and keeping the Numerov factor positive there would have taken
+        # ~1.5e44 points (ConvergenceError); the box from the level's own
+        # tail ends near r = 2.5.  The reference is the Richardson step on
+        # caller meshes of rmax = 4 with 4000 and 8000 points
         steep = InteractionTriple(lambda r: np.exp(r * r), OSC.d1, OSC.d2, "e^(r^2)")
+        assert radial_eigenvalue(0.5, steep, l=0, n_r=0) == pytest.approx(5.633078504749,
+                                                                          abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "b,l,n_r,level,rel",
+        [(0.5, 0, 0, 1.8333936099, 1e-9), (-1.5, 1, 0, -0.00265370876, 2e-8),
+         (-0.5, 0, 3, -0.161704966206, 1e-8)],
+    )
+    def test_levels_that_converge_slowly_refine_the_mesh(self, b, l, n_r, level, rel):
+        # V r^(l+1) is not analytic at the origin for these, and Numerov
+        # converges more slowly than h^4 there: the mesh doubles until the
+        # level moves by < 5e-8 from n to 2n points.  The references are
+        # caller meshes of 1e5 and 2e5 points, which agree to 1.3e-10,
+        # 1.4e-8 and 4e-11; on the level-scale mesh alone the errors were
+        # 2.2e-9, 7.4e-7 and 3.6e-8
+        pot = _power_pair(b, 1.0)
+        assert radial_eigenvalue(0.5, pot, l=l, n_r=n_r) == pytest.approx(level, rel=rel)
+
+    def test_mesh_too_large_to_build_is_refused(self, monkeypatch):
+        # a wall 1e16 (r - 3)^2 past r = 3: the box from the oscillator
+        # ground state's tail ends past it, where keeping the Numerov factor
+        # >= 1/2 would take ~3.8e7 points; refused before any sweep
+        count = _count_sweeps(monkeypatch)
+        walled = _walled(1e16)
         with pytest.raises(ConvergenceError, match="mesh points needed"):
-            radial_eigenvalue(0.5, steep, l=0, n_r=0)
+            radial_eigenvalue(0.5, walled, l=0, n_r=0)
+        assert count[0] == 0
+
+    def test_mesh_floor_raises_the_level_scale_mesh(self):
+        # a softer wall, 1e8 (r - 3)^2: the mesh floor raises the 104
+        # points of the level's scale to 3774, and the level is the
+        # Richardson step on that box and mesh
+        walled = _walled(1e8)
+        sizes = []
+
+        def value(r):
+            sizes.append(np.size(r))
+            return walled.value(r)
+
+        level = radial_eigenvalue(0.5, InteractionTriple(value, OSC.d1, OSC.d2, "wall"), 0, 0)
+        box, n = _scale_box(walled, 0, 0)
+        floor = sizes[2]
+        assert sizes == [404, n, floor, 2 * floor] and floor > 30 * n
+        fixed = [radial_eigenvalue(0.5, walled, 0, 0, rmax=box, npoints=k) for k in (floor, 2 * floor)]
+        assert level == pytest.approx(_richardson(*fixed), rel=1e-12)
+
+    def test_level_scale_mesh_too_large_is_refused(self, monkeypatch):
+        # Coulomb (n_r, l) = (100, 0) turns at r ~ 4e4: a step that keeps
+        # 0.045 of WKB phase asks for ~2.3e6 points, refused before any mesh
+        # is built
+        count = _count_sweeps(monkeypatch)
+        with pytest.raises(ConvergenceError, match="mesh points needed"):
+            radial_eigenvalue(0.5, COULOMB, l=0, n_r=100)
+        assert count[0] == 0
 
 
 class TestHighOrbital:
@@ -443,24 +622,31 @@ class TestBracketGuess:
         assert guessed == pytest.approx(cold, rel=1e-12)
 
     def test_box_grows_after_a_shot(self, monkeypatch):
-        # the first box shot for this level fails the box test; the next
-        # box is bracketed from its own estimate like every other
-        shot, verdicts = [], []
+        # the box from the level's WKB scale holds every level tried, so the
+        # first verdict of the box test is turned down here: the next box is
+        # 1.8 times as long, on the same mesh step, and bracketed from the
+        # same estimate
+        pot = _power_pair(-1.0, 1.1)
+        guess, box, step = _level_scale(pot, 0, 1)
+        shots, verdicts = [], []
         solve, holds = oracle._Shooter.solve, oracle._Shooter.holds
 
-        def solved(self, *args, **kwargs):
-            shot.append(self)
-            return solve(self, *args, **kwargs)
+        def solved(self, n_r, guess=None, span=oracle._SEED_SPAN):
+            shots.append((self.rmax, len(self.r) - 1, guess))
+            return solve(self, n_r, guess, span)
 
         def judged(self, e):
-            verdicts.append((self in shot, holds(self, e)))
-            return verdicts[-1][1]
+            verdicts.append(holds(self, e) and bool(verdicts))
+            return verdicts[-1]
 
         monkeypatch.setattr(oracle._Shooter, "solve", solved)
         monkeypatch.setattr(oracle._Shooter, "holds", judged)
-        level = radial_eigenvalue(0.5, _power_pair(-1.0, 1.1), l=0, n_r=1)
+        level = radial_eigenvalue(0.5, pot, l=0, n_r=1)
         assert level == pytest.approx(-0.075625, rel=1e-10)
-        assert (True, False) in verdicts
+        assert verdicts == [False, True]
+        grown = 1.8 * box
+        assert shots[:2] == [(box, math.ceil(box / step), guess),
+                             (grown, math.ceil(grown / step), guess)]
 
 
 class TestPotentialSampling:
@@ -474,9 +660,9 @@ class TestPotentialSampling:
         pot = InteractionTriple(value, OSC.d1, OSC.d2, "r^2")
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(3.0, abs=1e-9)
         # the probe: the two origin points, then V_eff's radii with the
-        # three far-field points at their end; the mesh of the one box,
-        # then that box on twice the points
-        n = _box(0)[1]
+        # three far-field points at their end; the mesh of the one box the
+        # level's WKB scale gives, then that box on twice the points
+        n = _scale_box(OSC, 0, 0)[1]
         assert shapes == [(404,), (n,), (2 * n,)]
 
     @pytest.mark.parametrize(
@@ -505,8 +691,9 @@ class TestNonFinitePotential:
             # NaN inside the well gave ConvergenceError("box did not stabilise")
             lambda r: np.where((r > 1.0) & (r < 2.0), np.nan, r * r),
             # inf past r = 8 gave ConvergenceError("edge-value refinement
-            # failed on [-inf, ...]")
-            lambda r: np.where(r > 8.0, np.inf, r * r),
+            # failed on [-inf, ...]"); the box of this level now ends near
+            # 6.8, so the inf starts at r = 4, inside it
+            lambda r: np.where(r > 4.0, np.inf, r * r),
             # a scalar ZeroDivisionError escaped raw
             _raises_in_the_band,
         ],
@@ -569,10 +756,11 @@ class TestNonFinitePotential:
 
 
 def _box(growths: int, mu: float = 0.5) -> tuple[float, int]:
-    """The adaptive box after some growths, and the mesh it gets.
+    """A box of the rule for levels without a WKB estimate, and its mesh.
 
-    As for a potential whose V_eff bottoms out within 5 / sqrt(mu), and
-    which is too gentle for the floor of steep potentials to raise the mesh.
+    The first box of 10 / sqrt(mu) after some growths, as for a potential
+    whose V_eff bottoms out within 5 / sqrt(mu), and which is too gentle
+    for the floor of steep potentials to raise the mesh.
     """
     box = 10.0 / math.sqrt(mu) * 1.8**growths
     return box, int(min(25000.0, max(1000.0, 40.0 * box)))
@@ -596,15 +784,27 @@ class TestWkbStart:
         )
         assert shooter.wkb_level(n_r) == pytest.approx(exact, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "potential,l,n_r,exact",
+        [(OSC, 0, 0, 3.0), (OSC, 2, 1, 11.0), (COULOMB, 0, 0, -0.25), (COULOMB, 1, 1, -0.25 / 9.0)],
+    )
+    def test_probe_estimate_falls_inside_the_seeded_bracket(self, potential, l, n_r, exact):
+        # where Langer-WKB is exact, only the probe's log spacing separates
+        # the estimate from the level: within half the +-1 % bracket
+        estimate = _level_scale(potential, l, n_r)[0]
+        assert estimate == pytest.approx(exact, rel=0.5 * oracle._SEED_SPAN)
+
     def test_no_estimate_where_the_box_cannot_hold_the_level(self):
         # the Coulomb (1,1) level lies above V_eff at the edge of the first box
         shooter = oracle._Shooter(0.5, COULOMB, 1, *_box(0), oracle._probe(COULOMB, 0.5)[3])
         assert shooter.wkb_level(1) is None
 
-    @pytest.mark.parametrize("a,growths", [(0.9, 5), (1.0, 5), (1.1, 4)])
-    def test_skipped_boxes_keep_the_final_box(self, monkeypatch, a, growths):
-        # the Coulomb (1,1) level used to be shot in every box; the final
-        # box (one growth fewer from a ~ 1.05 on) must not move
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    def test_first_box_is_kept(self, monkeypatch, a):
+        # the Coulomb (1, 1) level was shot or skipped on 5 or 6 boxes of
+        # 40 points per unit length before one held it; the box from its
+        # WKB scale holds it at once, and the level is the Richardson step
+        # on that box's own mesh
         pot = _power_pair(-1.0, a)
         array_calls = []
 
@@ -617,37 +817,36 @@ class TestWkbStart:
         swept_meshes = set()
         _wrap_passes(monkeypatch, lambda f: swept_meshes.add(len(f) - 1))
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
-        box, n = _box(growths)
-        # the probe call, then one array call per box and one for
-        # the kept box on twice the points, and sweeps only on the meshes
-        # of the box that is kept (every box of this level has its own
-        # mesh size)
-        assert array_calls[0] == 404
-        assert array_calls[1:] == [_box(k)[1] for k in range(growths + 1)] + [2 * n]
+        box, n = _scale_box(pot, 1, 1)
+        # the probe call, then one array call for the box and one for it
+        # on twice the points, and sweeps only on those two meshes
+        assert array_calls == [404, n, 2 * n]
         assert swept_meshes == {n, 2 * n}
         fixed = [radial_eigenvalue(0.5, pot, l=1, n_r=1, rmax=box, npoints=k) for k in (n, 2 * n)]
         assert adaptive == pytest.approx(_richardson(*fixed), rel=1e-12)
 
     def test_estimate_missing_the_seeded_bracket(self):
-        # the b = 3 ground state lies 1.2 % above its estimate, outside the
-        # seeded bracket: the bracket widens and finds the cold level, and
-        # the same extrapolation with the box on twice the points follows
+        # the b = 3 ground state lies 1.2 % above its Langer-WKB estimate,
+        # outside the seeded bracket: the bracket widens and finds the cold
+        # level, and the same extrapolation with the box on twice the
+        # points follows
         pot = _power_pair(3.0, 1.0)
-        box, n = _box(0)
+        estimate = _level_scale(pot, 0, 0)[0]
+        box, n = _scale_box(pot, 0, 0)
         shooter = oracle._Shooter(0.5, pot, 0, box, n, oracle._probe(pot, 0.5)[3])
-        estimate = shooter.wkb_level(0)
-        cold = shooter.solve(0)
-        assert abs(cold - estimate) > oracle._SEED_SPAN * abs(estimate)
+        coarse = shooter.solve(0, guess=estimate)
+        assert abs(coarse - estimate) > oracle._SEED_SPAN * abs(estimate)
+        assert coarse == pytest.approx(shooter.solve(0), rel=1e-12)
         fine = oracle._Shooter(0.5, pot, 0, box, 2 * n, oracle._probe(pot, 0.5)[3]).solve(0)
         assert radial_eigenvalue(0.5, pot, l=0, n_r=0) == pytest.approx(
-            _richardson(cold, fine), rel=1e-12
+            _richardson(coarse, fine), rel=1e-12
         )
 
     @pytest.mark.parametrize("l,n_r", [(0, 7), (1, 6), (3, 4), (0, 10)])
     def test_high_coulomb_levels(self, l, n_r):
         # shooting every box raised NoBoundState here: the levels squeezed
         # into the first boxes sat above zero and used up the unbound
-        # rounds; the boxes WKB rules out are now skipped unshot
+        # rounds; the first box now comes from the level's own tail
         level = radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r)
         assert level == pytest.approx(-0.25 / (n_r + l + 1) ** 2, rel=1e-9)
 
@@ -663,19 +862,27 @@ class TestWkbStart:
 
     def test_phase_evaluation_budget(self, monkeypatch):
         # solving the estimate to 1e-10 took 53 phase integrals over the
-        # boxes of this level; it only seeds a bracket and gates a skip
-        calls = [0]
-        phase = oracle._Shooter.wkb_phase
+        # boxes of this level, and to 1e-5 on each box 46; the estimate on
+        # the probe's samples takes one integral per bisection step over
+        # them and a few more within the level's cell, and no box solves
+        # one of its own
+        calls = [0, 0]
+        phase, box_phase = oracle._langer_phase, oracle._Shooter.wkb_phase
 
-        def counted(self, e):
+        def counted(*args):
             calls[0] += 1
-            return phase(self, e)
+            return phase(*args)
 
-        monkeypatch.setattr(oracle._Shooter, "wkb_phase", counted)
+        def box_counted(self, e):
+            calls[1] += 1
+            return box_phase(self, e)
+
+        monkeypatch.setattr(oracle, "_langer_phase", counted)
+        monkeypatch.setattr(oracle._Shooter, "wkb_phase", box_counted)
         assert radial_eigenvalue(0.5, COULOMB, l=0, n_r=1) == pytest.approx(
             -0.0625, abs=1e-9
         )
-        assert calls[0] <= 46
+        assert calls[0] <= 12 and calls[1] == 0
 
     @pytest.mark.parametrize("potential,l", [(COULOMB, 0), (COULOMB, 3), (OSC, 2)])
     @pytest.mark.parametrize("fraction", [0.02, 0.3, 1.0])
@@ -708,9 +915,9 @@ class TestWkbStart:
         assert action == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_weak_tail_without_a_level_stays_unbound(self):
-        # no level and no estimate; the Langer term outweighs an r^-3
-        # tail at the edge, so no box is skipped and the unbound rounds
-        # end in NoBoundState as before
+        # no level and no estimate, so today's first box of 10 / sqrt(mu)
+        # and its mesh are kept, and the unbound rounds end in NoBoundState
+        # as before
         weak = InteractionTriple(
             lambda r: -0.1 / (1.0 + r * r) ** 1.5, OSC.d1, OSC.d2, "weak r^-3 tail"
         )

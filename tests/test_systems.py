@@ -100,6 +100,38 @@ class TestPowerLaw2:
                 powerlaw2_phi(b)
 
 
+class TestPowerLawScale:
+    # b = 2, N = 2, a = 1 gives E = 2 q / sqrt(m) exactly.  q^(2b) / m^b
+    # was formed before the (b + 2)-th root: q = 1e77 returned inf, q = 1e80
+    # raised a bare OverflowError, m = 1e-154 returned inf and m = 1e-200 a
+    # bare ZeroDivisionError
+    @pytest.mark.parametrize("m,q", [(1.0, 1e77), (1.0, 1e80), (1e-154, 1.5), (1e-200, 1.5)])
+    def test_pair_energy_far_from_unit_scale(self, m, q):
+        params = PowerLaw2Params(m=m, a=1.0, b=2.0)
+        assert powerlaw2_energy(params, 2, q) == pytest.approx(2.0 * q / math.sqrt(m), rel=1e-12)
+
+    def test_one_body_energy_far_from_unit_scale(self):
+        # b = 3, N = 3: (4/3) (9 q^3)^(1/4); q^3 overflowed at q = 1e103
+        q = 1e103
+        expected = 4.0 / 3.0 * 9.0 ** 0.25 * q ** 0.75
+        assert powerlaw1_energy(PowerLaw1Params(a=1.0, b=3.0), 3, q) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: powerlaw2_energy(PowerLaw2Params(m=1.0, a=1.0, b=2.0), 2, 1e308),
+            lambda: powerlaw2_energy(PowerLaw2Params(m=5e-324, a=1.0, b=2.0), 2, 1e200),
+            lambda: powerlaw1_energy(PowerLaw1Params(a=1e308, b=0.1), 3, 1e308),
+        ],
+        ids=["pair_q", "pair_m", "one_body_a"],
+    )
+    def test_energy_past_the_float_range_names_the_input(self, call):
+        with pytest.raises(DomainError, match="overflows"):
+            call()
+
+
 class TestPowerLaw1:
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 3.0])
     def test_closed_form_matches_solver(self, b):
@@ -219,6 +251,22 @@ class TestConfined:
         params = ConfinedParams(m=1.0, omega=1.0, g=1.0)
         assert confined_energy(params, 2, 5e153) == pytest.approx(5e153, rel=1e-12)
         assert confined_phi(params, 2, 5e153) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1e155, 1e300])
+    def test_closed_forms_past_the_largest_scaled_number(self, q):
+        # Y overflows from q ~ 5.2e153 on: both closed forms raised
+        # DomainError("quartic_root_g needs Y >= 0, got inf"), blaming a Y
+        # the caller never gave; the oscillator values omega q and 2 remain
+        params = ConfinedParams(m=1.0, omega=1.0, g=1.0)
+        assert confined_energy(params, 2, q) == q
+        assert confined_phi(params, 2, q) == 2.0
+
+    def test_scaled_number_with_a_tiny_coupling(self):
+        # g^2 = 1e-400 underflowed to 0 and the division raised a bare
+        # ZeroDivisionError; Y scales as g^(-4/3)
+        ref = confined_y(ConfinedParams(m=1.0, omega=1.0, g=1.0), 2, 1.0)
+        tiny = confined_y(ConfinedParams(m=1.0, omega=1.0, g=1e-200), 2, 1.0)
+        assert tiny == pytest.approx(ref * 1e200 ** (4.0 / 3.0), rel=1e-12)
 
     def test_bound_tag(self):
         assert confined_system(ConfinedParams(m=1.0, omega=1.0, g=0.5), 2).bound is Bound.LOWER
