@@ -381,6 +381,8 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
     if axis == "N" and ("n_sum" not in settings or "l_sum" not in settings):
         raise ConfigError("axis N needs n_sum and l_sum so the collective "
                           "numbers can follow the particle count")
+    if axis == "lambda" and ("n_sum" in settings or "l_sum" in settings):
+        raise ConfigError("axis lambda needs nu, not n_sum/l_sum")
     # each grid point is a solve input, built and so checked before the first solve
     points = []
     for x in grid:

@@ -91,10 +91,7 @@ def compute_phi(spec: SystemSpec, lam) -> PhiResult:
     """
     lam = float(lam)
     if lam == 0.0:
-        raise PhiUndefined(
-            "phi needs a state with orbital excitation: lambda = 0 "
-            "(all internal modes in an s-wave in D = 2)"
-        )
+        raise PhiUndefined("phi needs a state with orbital excitation: lambda = 0")
     require_finite_positive("lambda", lam)
     if spec.precheck is not None:
         spec.precheck(lam)

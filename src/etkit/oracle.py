@@ -14,20 +14,21 @@ are tested against.
 One call samples V near the origin, for the Coulomb part of the small-r
 start, and on a log grid out to 1e7: where V_eff never dips below V's
 limit at large r there is no level (NoBoundState at once).  On that grid
-the Langer-WKB condition gives the level's own scale (_wkb_scale), which
-seeds a +-1 % bracket and sets the first box and the mesh step; without
-it the first box reaches twice as far as the lowest V_eff, with 40 points
-per unit length within [1000, 25000].  Either mesh keeps the Numerov
-factor >= 1/2 above the lowest V_eff, up to 2^20 points.  A box grows by
-1.8 until the turning point is within 60% of it and the tail action
-beyond is >= 15.  The final box is solved again on twice its n points:
-the error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6).
-While |E(2n) - E(n)| is above 5e-8 of |E| (or of 1e-3 of the level's WKB
-kinetic energy) the mesh doubles again (ConvergenceError past 2^20 points).  A
-caller's mesh (rmax and npoints, both or neither) is checked once,
-before any pass, for a Numerov factor f <= 0 at the lowest V_eff on it;
-a Langer-WKB estimate on that mesh seeds its bracket, and its level has
-an error O(h^4).
+the Langer-WKB condition gives the level's own scale (_wkb_scale): it
+seeds a +-1 % bracket for every solve, on either kind of mesh, and sets
+the first box and the mesh step.  Without it (Langer-WKB misses
+near-threshold s-waves) the bracket starts from the extremes of V_eff on
+the mesh, and the first box reaches twice as far as the lowest V_eff,
+with 40 points per unit length within [1000, 25000].  Either mesh keeps
+the Numerov factor >= 1/2 above the lowest V_eff, up to 2^20 points.  A
+box grows by 1.8 until the turning point is within 60% of it and the
+tail action beyond is >= 15.  The final box is solved again on twice its
+n points: the error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is
+O(h^6).  While |E(2n) - E(n)| is above 5e-8 of |E| (or of 1e-3 of the
+level's WKB kinetic energy) the mesh doubles again (ConvergenceError
+past 2^20 points).  A caller's mesh (rmax and npoints, both or neither)
+is checked once, before any pass, for a Numerov factor f <= 0 at the
+lowest V_eff on it, then solved once; its level has an error O(h^4).
 
 One Numerov driver (_numerov) runs every pass, on y = f u, and checks
 for overflow once per chunk of steps.  The node-counting pass serves the
@@ -61,9 +62,6 @@ _MAX_UNBOUND_ROUNDS = 5
 # half-width of the bracket around a WKB estimate, relative to it; Langer
 # misses the power-law levels tried by ~1 %, and a miss widens the bracket
 _SEED_SPAN = 0.01
-# tolerance of the WKB estimate on a caller's mesh, relative to it and to
-# the depth of the Langer well: a thousandth of the bracket's half-width
-_WKB_TOL = 1e-3 * _SEED_SPAN
 # WKB phase per step of an adaptive mesh, h k_max: the largest local wave
 # number, at the WKB level above the bottom of the Langer well
 _STEP_PHASE = 0.045
@@ -251,9 +249,6 @@ class _Shooter:
             cent[1:] = l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
         self.veff = v + cent
         self.veff[0] = 0.0
-        # V_eff with l(l+1) -> (l + 1/2)^2, for the WKB estimate
-        self.langer = self.veff[1:] + 1.0 / (8.0 * mu * self.r[1:] ** 2)
-        self.phase_step = self.h * math.sqrt(2.0 * mu)
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
@@ -311,10 +306,11 @@ class _Shooter:
     def solve(self, n_r: int, guess: float | None = None, span: float = _SEED_SPAN) -> float:
         """Level with n_r nodes: node-count bisection, then Brent on u(rmax).
 
-        guess, a WKB estimate or the level on a coarser mesh, starts the
-        bracket at +-span relative around it; without one, the bracket
-        starts from the extremes of the effective potential.  A shot that
-        misses one end of the bracket is kept as the other end.
+        guess, the probe's Langer-WKB estimate or the level on a coarser
+        mesh, starts the bracket at +-span relative around it; without one,
+        the bracket starts from the lowest V_eff on the mesh and its edge
+        value.  A shot that misses one end of the bracket is kept as the
+        other end.
         """
         if guess is None:
             lo = float(np.min(self.veff[1:]))
@@ -349,14 +345,6 @@ class _Shooter:
             raise ConvergenceError(f"edge-value refinement failed on [{lo:.17g}, {hi:.17g}]: "
                                    f"{exc}") from exc
 
-    def wkb_phase(self, e: float) -> float:
-        """Langer-WKB phase: integral of sqrt(2 mu (e - V_eff) - 1/(4 r^2)).
-
-        The 1/(4 r^2) term is the Langer shift of l(l+1) to (l + 1/2)^2;
-        the integral runs over the allowed part of the box.
-        """
-        return self._root_integral(e - self.langer)
-
     def _root_integral(self, w: np.ndarray) -> float:
         """Integral of sqrt(2 mu max(w, 0)) over the mesh points w samples.
 
@@ -365,22 +353,13 @@ class _Shooter:
         """
         np.maximum(w, 0.0, out=w)
         np.sqrt(w, out=w)
-        return self.phase_step * (float(w.sum()) - 0.5 * float(w[0] + w[-1]))
+        return self.h * math.sqrt(2.0 * self.mu) * (float(w.sum()) - 0.5 * float(w[0] + w[-1]))
 
-    def wkb_level(self, n_r: int) -> float | None:
-        """Langer-WKB level with n_r nodes from the box's potential samples.
-
-        Solves wkb_phase(E) = pi (n_r + 1/2) with no Numerov sweep, to
-        _WKB_TOL.  None when the box cannot hold the level below its edge
-        value of the Langer potential.
-        """
-        lo, hi = float(np.min(self.langer)), float(self.langer[-1])
-        target = math.pi * (n_r + 0.5)
-        f_hi = self.wkb_phase(hi) - target
-        if f_hi < 0.0:
-            return None
-        return _brent(lambda e: self.wkb_phase(e) - target, lo, hi,
-                      rtol=_WKB_TOL, atol=_WKB_TOL * (hi - lo), fb=f_hi)
+    def check_nodes(self, e: float, n_r: int) -> None:
+        """ConvergenceError unless a shot just below e counts n_r nodes."""
+        nodes_below = self.shoot(e - 10.0 * _ETOL * max(1.0, abs(e)))[0]
+        if nodes_below != n_r:
+            raise ConvergenceError(f"converged level has {nodes_below} nodes, expected {n_r}")
 
     def holds(self, e: float) -> bool:
         """The box test: turning point within 60% of the box, tail action >= 15.
@@ -439,64 +418,61 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     if _unbound(bottom, asym):
         raise NoBoundState(f"V_eff for l={l} does not dip below the asymptotic "
                            f"potential ({bottom:.6g} >= {asym:.6g})")
-    # without a WKB scale the first box reaches twice as far as the lowest
-    # V_eff, and a box of length L gets 40 L points within [1000, 25000]
-    guess, box, step = (None, rmax, None) if fixed else (
-        _wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
-        or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])), None))
-    unbound_rounds, n = 0, npoints
+    # the probe's Langer-WKB level seeds every solve; without it the first
+    # box reaches twice as far as the lowest V_eff, and a box of length L
+    # gets 40 L points within [1000, 25000]
+    guess, box, step = (_wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
+                        or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])), None))
+    if fixed:
+        shooter = _Shooter(mu, potential, l, rmax, npoints, laurent)
+        # where the Numerov factor f is not positive, u flips sign at every
+        # step and each flip reads as a node; f rises with E, so a check at
+        # the lowest V_eff on the mesh covers every level above it
+        lowest = float(np.min(shooter.veff[shooter.start:]))
+        steep = np.flatnonzero(shooter._numerov_input(lowest)[0][shooter.start:] <= 0.0)
+        if steep.size:
+            raise DomainError(f"npoints={npoints} is too few for rmax={rmax:.6g}: the Numerov "
+                              f"factor at E={lowest:.6g} is not positive at {steep.size} mesh "
+                              f"points, the first at r={shooter.r[shooter.start + steep[0]]:.6g}")
+        e = shooter.solve(n_r, guess=guess)
+        if _unbound(e, asym):
+            raise NoBoundState(f"no level with n_r={n_r}, l={l} below the asymptotic "
+                               f"potential ({e:.6g} >= {asym:.6g})")
+        if e < lowest:
+            raise DomainError(f"the level {e:.6g} lies below V_eff on the mesh, {lowest:.6g}")
+        shooter.check_nodes(e, n_r)
+        return e
 
+    unbound_rounds = 0
     for _ in range(_MAX_BOX_GROWTHS):
-        if not fixed:
-            n = math.ceil(box / step) if step else int(min(25000.0, max(1000.0, 40.0 * box)))
-            if n > _MAX_POINTS:
-                raise ConvergenceError(f"{n} mesh points needed for rmax={box:.6g}")
+        n = math.ceil(box / step) if step else int(min(25000.0, max(1000.0, 40.0 * box)))
+        if n > _MAX_POINTS:
+            raise ConvergenceError(f"{n} mesh points needed for rmax={box:.6g}")
         shooter = _Shooter(mu, potential, l, box, n, laurent)
-        if fixed:
-            # where the Numerov factor f is not positive, u flips sign at
-            # every step and each flip reads as a node; f rises with E, so a
-            # check at the lowest V_eff on the mesh covers every level above it
-            lowest = float(np.min(shooter.veff[shooter.start:]))
-            steep = np.flatnonzero(shooter._numerov_input(lowest)[0][shooter.start:] <= 0.0)
-            if steep.size:
-                raise DomainError(f"npoints={n} is too few for rmax={box:.6g}: the Numerov factor "
-                                  f"at E={lowest:.6g} is not positive at {steep.size} mesh points, "
-                                  f"the first at r={shooter.r[shooter.start + steep[0]]:.6g}")
-        else:
-            # an adaptive mesh keeps f >= 1/2 at every energy above the
-            # bottom of V_eff: mu h^2 (V - E) / 6 <= 1/2
-            floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
-            if floor > n:
-                if floor > _MAX_POINTS:
-                    raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
-                n = math.ceil(floor)
-                shooter = _Shooter(mu, potential, l, box, n, laurent)
-        if step is None:
-            guess = shooter.wkb_level(n_r)
+        # an adaptive mesh keeps f >= 1/2 at every energy above the bottom
+        # of V_eff: mu h^2 (V - E) / 6 <= 1/2
+        floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
+        if floor > n:
+            if floor > _MAX_POINTS:
+                raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
+            n = math.ceil(floor)
+            shooter = _Shooter(mu, potential, l, box, n, laurent)
         e = shooter.solve(n_r, guess=guess)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
         # was being squeezed
         if _unbound(e, asym):
             unbound_rounds += 1
-            if fixed or unbound_rounds >= _MAX_UNBOUND_ROUNDS:
+            if unbound_rounds >= _MAX_UNBOUND_ROUNDS:
                 raise NoBoundState(f"no level with n_r={n_r}, l={l} below the asymptotic "
                                    f"potential ({e:.6g} >= {asym:.6g})")
-            box *= 1.8
-            continue
-        if fixed or shooter.holds(e):
+        elif shooter.holds(e):
             break
         box *= 1.8
     else:
         raise ConvergenceError(f"box did not stabilise below rmax={box:.6g}; is the state bound?")
 
-    if fixed and e < lowest:
-        raise DomainError(f"the level {e:.6g} lies below V_eff on the mesh, {lowest:.6g}")
-    nodes_below = shooter.shoot(e - 10.0 * _ETOL * max(1.0, abs(e)))[0]
-    if nodes_below != n_r:
-        raise ConvergenceError(f"converged level has {nodes_below} nodes, expected {n_r}")
-    if fixed:
-        return e
+    shooter.check_nodes(e, n_r)
     # E(2n) is bracketed by the largest change accepted, which bounds the
     # error, relative to |E| or to 1e-3 of the level's WKB kinetic energy
     scale = max(abs(e), 1e-3 * (_STEP_PHASE / step) ** 2 / (2.0 * mu) if step else 1.0)

@@ -76,6 +76,24 @@ class TestSolve:
         assert float(fields["phi"]) == pytest.approx(1.03741966884, rel=1e-9)
         assert fields["bound"] == "none"
 
+    def test_zero_lambda_given_directly_names_no_dimension(self):
+        # lambda = 0 from nu and lambda says nothing of D: this system is in
+        # D = 3, and the refusal claimed an s-wave in D = 2
+        res = run_cli(
+            "solve",
+            "--system", "powerlaw2",
+            "--m", "1",
+            "--a", "1",
+            "--b", "1",
+            "--N", "2",
+            "--nu", "1",
+            "--lambda", "0",
+            "--phi", "dos",
+        )
+        assert res.returncode == 3
+        assert "PhiUndefined" in res.stderr and "lambda = 0" in res.stderr
+        assert "D = 2" not in res.stderr
+
     def test_default_weight_keeps_the_bound_tag(self):
         res = run_cli(
             "solve",
@@ -611,8 +629,13 @@ class TestKeysACommandSets:
             (["--system", "baryon", "--k", "0.2", "--g", "0.1", "--N", "3", "--nu", "0.5",
               "--axis", "lambda", "--grid=2:-1:4"],
              "lambda must be non-negative, got -1.0"),
+            # each point then held lambda and the sums, and the refusal
+            # named three input forms where only one was given
+            (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
+              "--n-sum", "0", "--l-sum", "1", "--axis", "lambda", "--grid", "0.5:2:4"],
+             "axis lambda needs nu, not n_sum/l_sum"),
         ],
-        ids=["half-particle", "negative-lambda"],
+        ids=["half-particle", "negative-lambda", "sums-on-lambda-axis"],
     )
     def test_bad_grid_point_is_refused_before_any_solve(self, capsys, monkeypatch, argv,
                                                          message):

@@ -776,28 +776,11 @@ class TestWkbStart:
         "potential,l,n_r,exact",
         [(OSC, 0, 0, 3.0), (OSC, 2, 1, 11.0), (COULOMB, 0, 0, -0.25), (COULOMB, 1, 1, -0.25 / 9.0)],
     )
-    def test_langer_estimate_is_close_where_it_is_exact(self, potential, l, n_r, exact):
-        # Langer-WKB is exact for both spectra; only the mesh and the
-        # turning points cut across cells separate it from the level
-        shooter = oracle._Shooter(
-            0.5, potential, l, 60.0, 12000, oracle._probe(potential, 0.5)[3]
-        )
-        assert shooter.wkb_level(n_r) == pytest.approx(exact, rel=1e-3)
-
-    @pytest.mark.parametrize(
-        "potential,l,n_r,exact",
-        [(OSC, 0, 0, 3.0), (OSC, 2, 1, 11.0), (COULOMB, 0, 0, -0.25), (COULOMB, 1, 1, -0.25 / 9.0)],
-    )
     def test_probe_estimate_falls_inside_the_seeded_bracket(self, potential, l, n_r, exact):
         # where Langer-WKB is exact, only the probe's log spacing separates
         # the estimate from the level: within half the +-1 % bracket
         estimate = _level_scale(potential, l, n_r)[0]
         assert estimate == pytest.approx(exact, rel=0.5 * oracle._SEED_SPAN)
-
-    def test_no_estimate_where_the_box_cannot_hold_the_level(self):
-        # the Coulomb (1,1) level lies above V_eff at the edge of the first box
-        shooter = oracle._Shooter(0.5, COULOMB, 1, *_box(0), oracle._probe(COULOMB, 0.5)[3])
-        assert shooter.wkb_level(1) is None
 
     @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
     def test_first_box_is_kept(self, monkeypatch, a):
@@ -861,49 +844,34 @@ class TestWkbStart:
         assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-9)
 
     def test_phase_evaluation_budget(self, monkeypatch):
-        # solving the estimate to 1e-10 took 53 phase integrals over the
-        # boxes of this level, and to 1e-5 on each box 46; the estimate on
-        # the probe's samples takes one integral per bisection step over
-        # them and a few more within the level's cell, and no box solves
-        # one of its own
-        calls = [0, 0]
-        phase, box_phase = oracle._langer_phase, oracle._Shooter.wkb_phase
+        # one estimate per call, adaptive or on a caller's mesh: one sum
+        # per bisection step over the probe's samples and a few more
+        # within the level's cell
+        scales, sums = [0], [0]
+        scale, phase = oracle._wkb_scale, oracle._langer_phase
 
-        def counted(*args):
-            calls[0] += 1
+        def counted_scale(*args):
+            scales[0] += 1
+            return scale(*args)
+
+        def counted_sum(*args):
+            sums[0] += 1
             return phase(*args)
 
-        def box_counted(self, e):
-            calls[1] += 1
-            return box_phase(self, e)
-
-        monkeypatch.setattr(oracle, "_langer_phase", counted)
-        monkeypatch.setattr(oracle._Shooter, "wkb_phase", box_counted)
-        assert radial_eigenvalue(0.5, COULOMB, l=0, n_r=1) == pytest.approx(
-            -0.0625, abs=1e-9
-        )
-        assert calls[0] <= 12 and calls[1] == 0
-
-    @pytest.mark.parametrize("potential,l", [(COULOMB, 0), (COULOMB, 3), (OSC, 2)])
-    @pytest.mark.parametrize("fraction", [0.02, 0.3, 1.0])
-    def test_phase_is_the_trapezoidal_rule(self, potential, l, fraction):
-        # the phase sums the mesh directly; it must equal numpy's
-        # trapezoid over the clipped integrand, from a narrow allowed
-        # region to the whole Langer well of the box
-        box, n = _box(1)
-        shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._probe(potential, 0.5)[3])
-        lo, hi = float(np.min(shooter.langer)), float(shooter.langer[-1])
-        e = lo + fraction * (hi - lo)
-        ksq = 2.0 * shooter.mu * (e - shooter.langer)
-        expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[1:]))
-        assert shooter.wkb_phase(e) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        monkeypatch.setattr(oracle, "_wkb_scale", counted_scale)
+        monkeypatch.setattr(oracle, "_langer_phase", counted_sum)
+        for mesh in ({}, {"rmax": 80.0, "npoints": 30000}):
+            scales[0] = sums[0] = 0
+            level = radial_eigenvalue(0.5, COULOMB, l=0, n_r=1, **mesh)
+            assert level == pytest.approx(-0.0625, abs=1e-9)
+            assert scales[0] == 1 and sums[0] <= 12
 
     @pytest.mark.parametrize("potential,l", [(COULOMB, 0), (COULOMB, 3), (OSC, 2)])
     @pytest.mark.parametrize("fraction", [0.02, 0.3, 0.9])
     def test_tail_action_is_the_trapezoidal_rule(self, potential, l, fraction):
-        # the box test's tail action shares the phase's mesh sum; it must
-        # equal numpy's trapezoid over the clipped integrand from the
-        # outer turning point to the edge
+        # the box test's tail action sums the mesh directly; it must equal
+        # numpy's trapezoid over the clipped integrand from the outer
+        # turning point to the edge
         box, n = _box(1)
         shooter = oracle._Shooter(0.5, potential, l, box, n, oracle._probe(potential, 0.5)[3])
         lo, hi = float(np.min(shooter.veff[1:])), float(shooter.veff[-1])
@@ -913,6 +881,19 @@ class TestWkbStart:
         expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[i:]))
         action = shooter._root_integral(shooter.veff[i:] - e)
         assert action == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_level_without_an_estimate(self):
+        # Langer-WKB misses this near-threshold s-wave, so the bracket
+        # starts from the extremes of V_eff on boxes of 10 / sqrt(mu) and
+        # more.  The reference comes from finite differences with two
+        # Richardson steps in h (0.02, 0.01, 0.005) on boxes of 150 and
+        # 250.  Caller meshes are no reference here: on rmax = 200 with
+        # 1e5 and 2e5 points they miss the level by 1.0e-10 and 3.5e-10,
+        # since at h <= 2e-3 Numerov's eps / h^2 rounding dominates
+        well = InteractionTriple(lambda r: -3.0 * np.exp(-r * r), OSC.d1, OSC.d2, "-3 e^(-r^2)")
+        assert _level_scale(well, 0, 0) is None
+        level = radial_eigenvalue(0.5, well, l=0, n_r=0)
+        assert level == pytest.approx(-0.010347918587, abs=1e-10)
 
     def test_weak_tail_without_a_level_stays_unbound(self):
         # no level and no estimate, so today's first box of 10 / sqrt(mu)
