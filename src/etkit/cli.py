@@ -383,6 +383,8 @@ def _scan_rows(args: argparse.Namespace, settings: dict[str, str]):
                           "numbers can follow the particle count")
     if axis == "lambda" and ("n_sum" in settings or "l_sum" in settings):
         raise ConfigError("axis lambda needs nu, not n_sum/l_sum")
+    if axis == "lambda" and "nu" not in settings:
+        raise ConfigError("axis lambda needs nu")
     # each grid point is a solve input, built and so checked before the first solve
     points = []
     for x in grid:

@@ -20,28 +20,36 @@ the first box and the mesh step.  Without it (Langer-WKB misses
 near-threshold s-waves) the bracket starts from the extremes of V_eff on
 the mesh, and the first box reaches twice as far as the lowest V_eff,
 with 40 points per unit length within [1000, 25000].  Either mesh keeps
-the Numerov factor >= 1/2 above the lowest V_eff, up to 2^20 points.  A
-box grows by 1.8 until the turning point is within 60% of it and the
-tail action beyond is >= 15.  The final box is solved again on twice its
-n points: the error runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is
-O(h^6).  While |E(2n) - E(n)| is above 5e-8 of |E| (or of 1e-3 of the
-level's WKB kinetic energy) the mesh doubles again (ConvergenceError
-past 2^20 points).  A caller's mesh (rmax and npoints, both or neither)
-is checked once, before any pass, for a Numerov factor f <= 0 at the
-lowest V_eff on it, then solved once; its level has an error O(h^4).
+the Numerov factor >= 1/2 above the lowest V_eff, up to 2^20 points.
+Past the radius where the tail action from the outer turning point
+reaches 3, the level-scale mesh doubles its step segment by segment while
+h kappa stays <= 0.1 over the rest of the box and the factor stays >= 1/2
+(_segments): a Coulomb tail, where kappa levels off, takes ~40 % fewer
+steps; a confining one, where kappa grows, keeps one step.  A box grows by
+1.8 until the turning point is within 60% of it and the tail action
+beyond is >= 15.  The final box is solved again with every segment's step
+halved, on twice its n points: the error runs as h^4, h^6, ..., so
+(16 E(2n) - E(n)) / 15 is O(h^6).  While |E(2n) - E(n)| is above 5e-8 of
+|E| (or of 1e-3 of the level's WKB kinetic energy) the mesh doubles again
+(ConvergenceError past 2^20 points).  A caller's mesh (rmax and npoints,
+both or neither) is checked once, before any pass, for a Numerov factor
+f <= 0 at the lowest V_eff on it, then solved once; its level has an
+error O(h^4).
 
-One Numerov driver (_numerov) runs every pass, on y = f u, and checks
-for overflow once per chunk of steps.  The node-counting pass serves the
-bracket walk, the bisection and the final node check; the edge-only pass
-serves Brent and gives the same edge value bit for bit.  For l >= 3 the
-Numerov factor of the first ~l / 3.5 mesh points is negative, whatever
-the step, and a recurrence through them flips sign at spurious nodes:
-every pass starts at mesh point i0 = floor(sqrt(l(l+1) / 12)) + 2, past
-that region, from the small-r series of u.
+One Numerov driver (_numerov) runs every pass, on y = f u, one
+recurrence per segment, and checks for overflow once per chunk of steps.
+The node-counting pass serves the bracket walk, the bisection and the
+final node check; the edge-only pass serves Brent and gives the same edge
+value bit for bit.  For l >= 3 the Numerov factor of the first ~l / 3.5
+mesh points is negative, whatever the step, and a recurrence through them
+flips sign at spurious nodes: every pass starts at mesh point i0 =
+floor(sqrt(l(l+1) / 12)) + 2, past that region, from the small-r series
+of u.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -65,6 +73,15 @@ _SEED_SPAN = 0.01
 # WKB phase per step of an adaptive mesh, h k_max: the largest local wave
 # number, at the WKB level above the bottom of the Langer well
 _STEP_PHASE = 0.045
+# tail action from the outer turning point past which an adaptive mesh may
+# double its step, where u^2 < e^(-6): the Coulomb levels n_r <= 2, l <= 3
+# move by <= 3.2e-13 |E| from one step over the box (2: 1.4e-12; 5: 1.3e-13
+# for 11 % more steps)
+_DOUBLING_ACTION = 3.0
+# largest h kappa of a doubled step over the rest of the box, kappa =
+# sqrt(2 mu (V_eff - E)) at the WKB level: the same levels move by <= 3.2e-13
+# |E| (0.2: 8.4e-13; 0.4: 2.3e-12; 0.05: 1.1e-13 for 11 % more steps)
+_DOUBLED_DECAY = 0.1
 
 # Numerov steps between two overflow checks
 _CHUNK = 2048
@@ -117,8 +134,8 @@ def _probe(potential: InteractionTriple,
 
 
 def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int, asym: float,
-               coulomb: float) -> tuple[float, float, float] | None:
-    """Langer-WKB level, first box and mesh step from the probe samples.
+               coulomb: float) -> tuple[float, float, float, int] | None:
+    """Langer-WKB level, first box, mesh step and doubling sample from the probe samples.
 
     The phase of sqrt(2 mu (E - V_Langer)), V_eff with l(l+1) -> (l + 1/2)^2,
     sums over the probe's first 400 (log-spaced) radii.  Bisection over the
@@ -127,7 +144,9 @@ def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int,
     The box reaches 1.05 times past the turning point over _TURNING_FRACTION
     and past where the tail action reaches 1.1 _MIN_TAIL_ACTION.  The step is
     _STEP_PHASE / k_max, k_max^2 = 2 mu (E - min V_Langer) + (2 mu coulomb /
-    (l + 1))^2: with a Coulomb part the small-r start is only O(h^5).  None
+    (l + 1))^2: with a Coulomb part the small-r start is only O(h^5).  The
+    doubling sample is the first where the tail action reaches
+    _DOUBLING_ACTION, past which the step may double (_segments).  None
     when the samples hold no level below the asymptote.
     """
     r, veff = radii[:400], veff[:400]
@@ -154,9 +173,61 @@ def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int,
     turn = int(np.flatnonzero(veff <= e)[-1])
     tail = np.cumsum(weight[turn:] * np.sqrt(np.fmax(veff[turn:] - e, 0.0)))
     reach = min(turn + int(np.searchsorted(tail, 1.1 * _MIN_TAIL_ACTION)), len(r) - 1)
+    past = min(turn + int(np.searchsorted(tail, _DOUBLING_ACTION)), reach)
     box = 1.05 * max(float(r[min(turn + 1, reach)]) / _TURNING_FRACTION, float(r[reach]))
     k_sq = 2.0 * mu * (e - cells[0]) + (2.0 * mu * coulomb / (l + 1.0)) ** 2
-    return e, box, _STEP_PHASE / math.sqrt(k_sq)
+    return e, box, _STEP_PHASE / math.sqrt(k_sq), past
+
+
+def _segments(mu: float, e: float, radii: np.ndarray, veff: np.ndarray, bottom: float,
+              box: float, n: int) -> tuple[int, ...]:
+    """Steps per segment of an adaptive mesh of box, n steps of h = box / n before doubling.
+
+    Segment k steps by 2^k h.  radii and veff are probe samples from the
+    first where the tail action reaches _DOUBLING_ACTION; the first
+    doubling falls on the mesh point past radii[0].  Segment k may take its
+    step while, over the samples from its start to the first at or past the
+    box, 2^k h kappa <= _DOUBLED_DECAY at the level e, and mu (2^k h)^2 (V_eff
+    - bottom) / 6 <= 1/2 keeps the Numerov factor f >= 1/2 above the bottom
+    of V_eff; it holds an even number of steps, at least 4 (the next one
+    starts 2 steps before its end).  Every doubled segment but the last
+    holds 4 steps; the first doubling moves by less than 2^(K+1) points,
+    K the last segment, so that the last one ends on the box edge.  (n,)
+    where no doubling holds.
+    """
+    h = box / n
+
+    def fits(k: int, v: float) -> bool:
+        h_sq = (h * 2**k) ** 2
+        return (2.0 * mu * h_sq * (v - e) <= _DOUBLED_DECAY**2
+                and mu * h_sq * (v - bottom) <= 3.0)
+
+    # the samples up to the first at or past the box; that one alone rules
+    # out every doubling on a confining tail
+    end = min(int(np.searchsorted(radii, box)) + 1, len(radii))
+    if not fits(1, float(veff[end - 1])):
+        return (n,)
+    first = math.ceil(float(radii[0]) / h)
+
+    def doubles(k: int, b: int) -> bool:
+        # the highest V_eff from the last sample at or before point b on
+        i = max(int(np.searchsorted(radii[:end], b * h, "right")) - 1, 0)
+        return fits(k, float(veff[i:end].max()))
+
+    def start(k: int, shift: int = 0) -> int:
+        # first point of segment k when segments 1 to k - 1 hold 4 steps each
+        return first + shift + 8 * (2 ** (k - 1) - 1)
+
+    k = 0
+    while n - start(k + 1) >= 4 * 2 ** (k + 1) and doubles(k + 1, start(k + 1)):
+        k += 1
+    while k:
+        shift = (n - start(k)) % 2 ** (k + 1)
+        last = (n - start(k, shift)) >> k
+        if last >= 4 and all(doubles(j, start(j, shift)) for j in range(1, k + 1)):
+            return (start(1, shift),) + (4,) * (k - 1) + (last,)
+        k -= 1
+    return (n,)
 
 
 def _langer_phase(e: float, weight: np.ndarray, langer: np.ndarray) -> float:
@@ -170,7 +241,7 @@ def _unbound(e: float, asym: float) -> bool:
 
 
 def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
-             count_nodes: bool = True) -> tuple[int, float]:
+             count_nodes: bool = True, cuts: tuple[int, ...] = ()) -> tuple[int, float]:
     """One Numerov pass; returns (interior node count, u at the box edge).
 
     f holds the Numerov factors 1 + h^2 k^2 / 12 on the whole mesh.  The
@@ -182,25 +253,53 @@ def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
     The pass runs on y_i = f_i u_i, for which Numerov reads y_i =
     A_i y_(i-1) - y_(i-2) with A_i = (12 - 10 f_(i-1)) / f_(i-1), whatever
     the sign of f.  numpy computes the A_i; the sequential loop runs in
-    plain Python.  Brent's method only needs the edge value, so its pass
-    (count_nodes false) skips the node test in that loop; the count it
+    plain Python (_recur).  Brent's method only needs the edge value, so its
+    pass (count_nodes false) skips the node test in that loop; the count it
     returns is then meaningless.
+
+    cuts are the entries of f where a segment of a coarser step begins,
+    one recurrence each.  Such a segment holds two more entries than its
+    points: first the point 2h before its first, then its first, both
+    points of the segment before.  It starts from their y / f, times its
+    own factors there.
 
     A node is a sign change of y, which has the sign of u wherever f > 0;
     where f <= 0 no count can be trusted, which radial_eigenvalue checks
-    on a fixed mesh.  An exact zero counts as no node.  Overflow is
-    checked once per chunk of _CHUNK steps: a chunk that ends non-finite
-    or above 1e250 is run again from its start, with its node count,
-    rescaling whenever |y| passes 1e250.  Where u grows steadily, as past
-    a turning point, a chunk ends on its largest value, so the rescales
-    fall on the same steps as a per-step check would put them; a value
-    that peaks above 1e250 and falls back within one chunk is left
-    unscaled, which is still finite and keeps every sign and zero.
+    on a fixed mesh.  An exact zero counts as no node.
     """
     f = f[start - 1:]
     coeffs = memoryview((12.0 - 10.0 * f[1:-1]) / f[1:-1])
     # plain floats: a numpy scalar here would slow every step of the loop
     y_prev, y_cur, nodes = float(first_term), float(f[1]) * float(u1), 0
+    lo = 0
+    for cut in cuts:
+        # the segment before the cut ends at entry cut - 1 of the whole f:
+        # run to the entry before it, then one more step, keeping the y two
+        # steps before the end
+        end = cut - start - 2
+        y_prev, y_cur, nodes = _recur(coeffs[lo:end], y_prev, y_cur, nodes, count_nodes)
+        y_end = coeffs[end] * y_cur - y_prev
+        if y_end * y_cur < 0.0:
+            nodes += 1
+        lo = end + 3
+        y_prev = float(f[lo]) * (y_prev / float(f[end]))
+        y_cur = float(f[lo + 1]) * (y_end / float(f[end + 2]))
+    _, y_cur, nodes = _recur(coeffs[lo:], y_prev, y_cur, nodes, count_nodes)
+    return nodes, y_cur / float(f[-1])
+
+
+def _recur(coeffs: memoryview, y_prev: float, y_cur: float, nodes: int,
+           count_nodes: bool) -> tuple[float, float, int]:
+    """The recurrence through coeffs: the last two y and the node count.
+
+    Overflow is checked once per chunk of _CHUNK steps: a chunk that ends
+    non-finite or above 1e250 is run again from its start, with its node
+    count, rescaling whenever |y| passes 1e250.  Where u grows steadily, as
+    past a turning point, a chunk ends on its largest value, so the rescales
+    fall on the same steps as a per-step check would put them; a value that
+    peaks above 1e250 and falls back within one chunk is left unscaled,
+    which is still finite and keeps every sign and zero.
+    """
     for lo in range(0, len(coeffs), _CHUNK):
         chunk = coeffs[lo:lo + _CHUNK]
         p, c, k = y_prev, y_cur, nodes
@@ -223,32 +322,51 @@ def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
                     p *= 1e-250
                     c *= 1e-250
         y_prev, y_cur, nodes = p, c, k
-    return nodes, y_cur / float(f[-1])
+    return y_prev, y_cur, nodes
 
 
 class _Shooter:
-    """Shooting machinery on a fixed box [0, rmax] with npoints steps."""
+    """Shooting machinery on a fixed box [0, rmax] of npoints steps h = rmax / npoints.
+
+    counts, if given, splits the mesh into segments: segment k takes
+    counts[k] steps of 2^k h, every 2^k-th point of the uniform mesh, and
+    the counts sum to npoints in units of h.  A Numerov pass runs one
+    recurrence per segment, each started exactly from two points of the
+    one before (_numerov).
+    """
 
     def __init__(self, mu: float, potential: InteractionTriple, l: int, rmax: float,
-                 npoints: int, laurent: tuple[float, float]):
+                 npoints: int, laurent: tuple[float, float], counts: tuple[int, ...] | None = None):
         self.mu = mu
         self.l = l
         self.rmax = rmax
         self.h = rmax / npoints
-        self.r = np.linspace(0.0, rmax, npoints + 1)
+        self.counts = counts or (npoints,)
+        # the points of np.linspace(0, rmax, npoints + 1), bit for bit, that
+        # the segments keep: segment k holds mesh points lo to hi, step 2^k h,
+        # every 2^k-th point from index at on
+        if len(self.counts) == 1:
+            self.segments, points = [(0, npoints, self.h)], np.arange(npoints + 1)
+        else:
+            self.segments, points, lo, at = [], [], 0, 0
+            for k, n in enumerate(self.counts):
+                self.segments.append((lo, lo + n, self.h * 2**k))
+                points.append(at + (np.arange(k > 0, n + 1) << k))
+                lo, at = lo + n, at + (n << k)
+            points = np.concatenate(points)
+        self.r = points * self.h
+        self.r[-1] = rmax
         v = np.empty_like(self.r)
         v[0] = 0.0  # never used: u(0) = 0 kills the first Numerov term
         v[1:] = _on_points(potential.value, self.r[1:])
-        bad = np.flatnonzero(~np.isfinite(v[1:])) + 1
-        if bad.size:
+        if not np.isfinite(v).all():
+            bad = np.flatnonzero(~np.isfinite(v))
             raise DomainError(f"the potential is not finite at {bad.size} mesh "
                               f"points, the first at r={self.r[bad[0]]:.6g}")
-        self.v_max = float(np.max(v[1:]))
-        cent = np.zeros_like(self.r)
+        self.v_max = float(v[1:].max())
         if l > 0:
-            cent[1:] = l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
-        self.veff = v + cent
-        self.veff[0] = 0.0
+            v[1:] += l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
+        self.veff = v
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
@@ -258,6 +376,21 @@ class _Shooter:
         # sign there, counting spurious nodes: the passes start at i0,
         # past that region, from the small-r series (_series)
         self.start = 1 if l < 3 else math.isqrt(l * (l + 1) // 12) + 2
+        # a pass's V_eff and h^2 mu / 6, one entry per point and segment: a
+        # segment past the first also holds its first point and the point
+        # 2h before it, where the recurrence starts (cuts: those entries)
+        if len(self.counts) == 1:
+            self.veff_x, self.scale, self.cuts = self.veff, self.h * self.h * mu / 6.0, ()
+        else:
+            # segment k >= 1 holds entries cut - 1 + j for its points lo + j
+            # and, at its cut, lo - 2
+            sizes = [self.counts[0] + 1] + [n + 2 for n in self.counts[1:]]
+            self.cuts = tuple(itertools.accumulate(sizes[:-1]))
+            shifts = [0] + [lo - cut - 1 for (lo, _, _), cut in zip(self.segments[1:], self.cuts)]
+            points = np.arange(sum(sizes)) + np.repeat(shifts, sizes)
+            points[list(self.cuts)] -= 1
+            self.veff_x = self.veff[points]
+            self.scale = np.repeat([h * h * mu / 6.0 for _, _, h in self.segments], sizes)
 
     def _series(self, e: float, r: float) -> float:
         # u ~ r^(l+1) (1 + c1 r + c2 r^2) near the origin restores O(h^4)
@@ -268,7 +401,7 @@ class _Shooter:
 
     def _numerov_input(self, e: float) -> tuple[np.ndarray, float, float, int]:
         """Arguments of a Numerov pass at e: f, u(i0), f u at i0 - 1, and i0."""
-        f = 1.0 + (self.h * self.h * self.mu / 6.0) * (e - self.veff)
+        f = 1.0 + self.scale * (e - self.veff_x)
         f[0] = 1.0
         i0 = self.start
         if i0 == 1:
@@ -280,10 +413,10 @@ class _Shooter:
         return f, 1.0, float(f[i0 - 1]) * u0, i0
 
     def shoot(self, e: float) -> tuple[int, float]:
-        return _numerov(*self._numerov_input(e))
+        return _numerov(*self._numerov_input(e), cuts=self.cuts)
 
     def edge(self, e: float) -> float:
-        return _numerov(*self._numerov_input(e), count_nodes=False)[1]
+        return _numerov(*self._numerov_input(e), count_nodes=False, cuts=self.cuts)[1]
 
     def _walk(self, e: float, step: float,
               target: Callable[[int], bool]) -> tuple[tuple | None, tuple | None]:
@@ -348,12 +481,25 @@ class _Shooter:
     def _root_integral(self, w: np.ndarray) -> float:
         """Integral of sqrt(2 mu max(w, 0)) over the mesh points w samples.
 
-        w holds one value per point of a run of consecutive mesh points;
-        the trapezoidal rule on the uniform mesh, and w is overwritten.
+        w holds one value per mesh point from some point to the edge; the
+        trapezoidal rule, summed per segment, and w is overwritten.
         """
         np.maximum(w, 0.0, out=w)
         np.sqrt(w, out=w)
-        return self.h * math.sqrt(2.0 * self.mu) * (float(w.sum()) - 0.5 * float(w[0] + w[-1]))
+        first, total = len(self.r) - len(w), 0.0
+        for lo, hi, h in self.segments:
+            if hi > first:
+                part = w[max(lo - first, 0):hi + 1 - first]
+                total += h * math.sqrt(2.0 * self.mu) * (float(part.sum())
+                                                          - 0.5 * float(part[0] + part[-1]))
+        return total
+
+    def steep_segment(self, bottom: float) -> int:
+        """First segment past the first whose step lets f fall below 1/2 above bottom, or 0."""
+        for k, (lo, hi, h) in enumerate(self.segments[1:], 1):
+            if self.mu * h * h * (float(np.max(self.veff[lo:hi + 1])) - bottom) > 3.0:
+                return k
+        return 0
 
     def check_nodes(self, e: float, n_r: int) -> None:
         """ConvergenceError unless a shot just below e counts n_r nodes."""
@@ -374,6 +520,27 @@ class _Shooter:
         i = int(allowed[-1]) + 1 if allowed.size else 0
         return (float(self.r[i]) <= _TURNING_FRACTION * self.rmax
                 and self._root_integral(self.veff[max(i, 1):] - e) >= _MIN_TAIL_ACTION)
+
+
+def _adaptive_shooter(mu: float, potential: InteractionTriple, l: int, box: float, n: int,
+                      laurent: tuple[float, float], bottom: float,
+                      tail: tuple[float, np.ndarray, np.ndarray] | None) -> _Shooter:
+    """The shooter on box with n steps of box / n, doubled past the tail samples where it may.
+
+    tail holds the WKB level and the probe's radii and V_eff from where the
+    step may double (_segments); None keeps one step.  A doubled segment
+    whose points let f fall below 1/2 keeps the step before it, and so do
+    the segments after it; the mesh is then built again.
+    """
+    counts = _segments(mu, *tail, bottom, box, n) if tail else (n,)
+    while True:
+        if sum(counts) > _MAX_POINTS:
+            raise ConvergenceError(f"{sum(counts)} mesh points needed for rmax={box:.6g}")
+        shooter = _Shooter(mu, potential, l, box, n, laurent, counts)
+        k = shooter.steep_segment(bottom)
+        if not k:
+            return shooter
+        counts = counts[:k - 1] + (sum(c << j for j, c in enumerate(counts[k - 1:])),)
 
 
 def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
@@ -421,8 +588,11 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     # the probe's Langer-WKB level seeds every solve; without it the first
     # box reaches twice as far as the lowest V_eff, and a box of length L
     # gets 40 L points within [1000, 25000]
-    guess, box, step = (_wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
-                        or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])), None))
+    guess, box, step, past = (_wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
+                              or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])),
+                                  None, None))
+    # an adaptive step may double past these probe samples (_segments)
+    tail = None if step is None else (guess, radii[past:400], veff[past:400])
     if fixed:
         shooter = _Shooter(mu, potential, l, rmax, npoints, laurent)
         # where the Numerov factor f is not positive, u flips sign at every
@@ -446,9 +616,7 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     unbound_rounds = 0
     for _ in range(_MAX_BOX_GROWTHS):
         n = math.ceil(box / step) if step else int(min(25000.0, max(1000.0, 40.0 * box)))
-        if n > _MAX_POINTS:
-            raise ConvergenceError(f"{n} mesh points needed for rmax={box:.6g}")
-        shooter = _Shooter(mu, potential, l, box, n, laurent)
+        shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, bottom, tail)
         # an adaptive mesh keeps f >= 1/2 at every energy above the bottom
         # of V_eff: mu h^2 (V - E) / 6 <= 1/2
         floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
@@ -456,7 +624,7 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
             if floor > _MAX_POINTS:
                 raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
             n = math.ceil(floor)
-            shooter = _Shooter(mu, potential, l, box, n, laurent)
+            shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, bottom, tail)
         e = shooter.solve(n_r, guess=guess)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state
@@ -476,12 +644,14 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     # E(2n) is bracketed by the largest change accepted, which bounds the
     # error, relative to |E| or to 1e-3 of the level's WKB kinetic energy
     scale = max(abs(e), 1e-3 * (_STEP_PHASE / step) ** 2 / (2.0 * mu) if step else 1.0)
+    counts = shooter.counts
     while True:
-        fine = _Shooter(mu, potential, l, box, 2 * n, laurent).solve(
+        n, counts = 2 * n, tuple(2 * c for c in counts)
+        fine = _Shooter(mu, potential, l, box, n, laurent, counts).solve(
             n_r, guess=e, span=_RICHARDSON_TOL)
         if abs(fine - e) <= _RICHARDSON_TOL * scale:
             return (16.0 * fine - e) / 15.0
-        if 4 * n > _MAX_POINTS:
+        if 2 * sum(counts) > _MAX_POINTS:
             raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
-                                   f"the {n} mesh points of rmax={box:.6g}")
-        n, e = 2 * n, fine
+                                   f"the {sum(counts) // 2} mesh points of rmax={box:.6g}")
+        e = fine

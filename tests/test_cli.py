@@ -521,7 +521,10 @@ class TestScan:
             "--axis", "lambda",
             "--grid", "1:10:5",
         )
+        # the swept lambda joined the given q, and the refusal named three
+        # input forms where only one was given
         assert res.returncode == 2
+        assert res.stderr == "config error: axis lambda needs nu\n"
 
     def test_unknown_axis_is_rejected_by_the_parser(self):
         res = run_cli(
@@ -634,8 +637,17 @@ class TestKeysACommandSets:
             (["--system", "powerlaw2", "--m", "1", "--a", "1", "--b", "1", "--N", "2",
               "--n-sum", "0", "--l-sum", "1", "--axis", "lambda", "--grid", "0.5:2:4"],
              "axis lambda needs nu, not n_sum/l_sum"),
+            # q with the swept lambda read as two input forms, and lambda
+            # alone as "nu and lambda must be given together"
+            (["--system", "baryon", "--k", "0.2", "--g", "0.1", "--N", "3", "--q", "2",
+              "--axis", "lambda", "--grid", "1:10:5"],
+             "axis lambda needs nu"),
+            (["--system", "baryon", "--k", "0.2", "--g", "0.1", "--N", "3",
+              "--axis", "lambda", "--grid", "1:10:5"],
+             "axis lambda needs nu"),
         ],
-        ids=["half-particle", "negative-lambda", "sums-on-lambda-axis"],
+        ids=["half-particle", "negative-lambda", "sums-on-lambda-axis", "q-on-lambda-axis",
+             "no-nu-on-lambda-axis"],
     )
     def test_bad_grid_point_is_refused_before_any_solve(self, capsys, monkeypatch, argv,
                                                          message):

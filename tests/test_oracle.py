@@ -343,7 +343,19 @@ def _level_scale(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5
     """The WKB estimate, first box and mesh step that radial_eigenvalue starts from."""
     radii, values, asym, laurent = oracle._probe(potential, mu)
     veff = values + l * (l + 1) / (2.0 * mu * radii**2)
-    return oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
+    scale = oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
+    return scale and scale[:3]
+
+
+def _first_mesh(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5):
+    """The WKB estimate, first box, its steps of the level's scale and their segments."""
+    radii, values, asym, laurent = oracle._probe(potential, mu)
+    veff = values + l * (l + 1) / (2.0 * mu * radii**2)
+    guess, box, step, past = oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
+    n = math.ceil(box / step)
+    counts = oracle._segments(mu, guess, radii[past:400], veff[past:400],
+                              float(np.nanmin(veff)), box, n)
+    return guess, box, n, counts
 
 
 def _scale_box(potential: InteractionTriple, l: int, n_r: int) -> tuple[float, int]:
@@ -353,11 +365,14 @@ def _scale_box(potential: InteractionTriple, l: int, n_r: int) -> tuple[float, i
 
 
 def _wrap_passes(monkeypatch, record) -> None:
-    """Call record(f) before every Numerov pass: node-counting and edge-only."""
+    """Call record(steps) before every Numerov pass: node-counting and edge-only.
+
+    f holds two more entries than points for each segment past the first.
+    """
     numerov_pass = oracle._numerov
 
     def wrapped(f, *args, **kwargs):
-        record(f)
+        record(len(f) - 1 - 2 * len(kwargs.get("cuts", ())))
         return numerov_pass(f, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_numerov", wrapped)
@@ -366,7 +381,7 @@ def _wrap_passes(monkeypatch, record) -> None:
 def _count_sweeps(monkeypatch) -> list[int]:
     count = [0]
 
-    def counted(f):
+    def counted(steps):
         count[0] += 1
 
     _wrap_passes(monkeypatch, counted)
@@ -419,12 +434,14 @@ class TestSweepBudget:
     # the box and mesh from the level's own WKB scale: on the first box of
     # 10 / sqrt(mu) and 40 points per unit of it, V = r^6 took 40 passes
     # and 898 k steps, Coulomb (0, 10) 16 passes and 525 k steps, and
-    # e^(r^2) was refused for the 1.5e44 points its mesh floor asked for
+    # e^(r^2) was refused for the 1.5e44 points its mesh floor asked for;
+    # with one step over the whole box Coulomb (0, 10) took 14 passes and
+    # 38 070 steps, with the step doubled in its tail 23 418
     @pytest.mark.parametrize(
         "value,l,n_r,passes,steps",
         [
             (SEXTIC.value, 0, 0, 18, 3500),
-            (COULOMB.value, 10, 0, 16, 45000),
+            (COULOMB.value, 10, 0, 16, 25760),
             (lambda r: np.exp(r * r), 0, 0, 18, 3000),
         ],
         ids=["sextic", "coulomb_l10", "exp_r2"],
@@ -432,9 +449,9 @@ class TestSweepBudget:
     def test_mesh_from_the_level_scale(self, monkeypatch, value, l, n_r, passes, steps):
         count = [0, 0]
 
-        def counted(f):
+        def counted(steps):
             count[0] += 1
-            count[1] += len(f) - 1
+            count[1] += steps
 
         _wrap_passes(monkeypatch, counted)
         radial_eigenvalue(0.5, InteractionTriple(value, OSC.d1, OSC.d2, "V"), l=l, n_r=n_r)
@@ -624,15 +641,15 @@ class TestBracketGuess:
     def test_box_grows_after_a_shot(self, monkeypatch):
         # the box from the level's WKB scale holds every level tried, so the
         # first verdict of the box test is turned down here: the next box is
-        # 1.8 times as long, on the same mesh step, and bracketed from the
-        # same estimate
+        # 1.8 times as long, on the same mesh step before any doubling, and
+        # bracketed from the same estimate
         pot = _power_pair(-1.0, 1.1)
         guess, box, step = _level_scale(pot, 0, 1)
         shots, verdicts = [], []
         solve, holds = oracle._Shooter.solve, oracle._Shooter.holds
 
         def solved(self, n_r, guess=None, span=oracle._SEED_SPAN):
-            shots.append((self.rmax, len(self.r) - 1, guess))
+            shots.append((self.rmax, self.h, guess))
             return solve(self, n_r, guess, span)
 
         def judged(self, e):
@@ -645,8 +662,8 @@ class TestBracketGuess:
         assert level == pytest.approx(-0.075625, rel=1e-10)
         assert verdicts == [False, True]
         grown = 1.8 * box
-        assert shots[:2] == [(box, math.ceil(box / step), guess),
-                             (grown, math.ceil(grown / step), guess)]
+        assert shots[:2] == [(box, box / math.ceil(box / step), guess),
+                             (grown, grown / math.ceil(grown / step), guess)]
 
 
 class TestPotentialSampling:
@@ -787,7 +804,7 @@ class TestWkbStart:
         # the Coulomb (1, 1) level was shot or skipped on 5 or 6 boxes of
         # 40 points per unit length before one held it; the box from its
         # WKB scale holds it at once, and the level is the Richardson step
-        # on that box's own mesh
+        # on that box's own mesh, whose step doubles in the tail
         pot = _power_pair(-1.0, a)
         array_calls = []
 
@@ -798,15 +815,20 @@ class TestWkbStart:
 
         counted = InteractionTriple(value, pot.d1, pot.d2, pot.label)
         swept_meshes = set()
-        _wrap_passes(monkeypatch, lambda f: swept_meshes.add(len(f) - 1))
+        _wrap_passes(monkeypatch, swept_meshes.add)
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
-        box, n = _scale_box(pot, 1, 1)
+        guess, box, n, counts = _first_mesh(pot, 1, 1)
+        steps = sum(counts)
         # the probe call, then one array call for the box and one for it
         # on twice the points, and sweeps only on those two meshes
-        assert array_calls == [404, n, 2 * n]
-        assert swept_meshes == {n, 2 * n}
-        fixed = [radial_eigenvalue(0.5, pot, l=1, n_r=1, rmax=box, npoints=k) for k in (n, 2 * n)]
-        assert adaptive == pytest.approx(_richardson(*fixed), rel=1e-12)
+        assert len(counts) > 1 and steps < n
+        assert array_calls == [404, steps, 2 * steps]
+        assert swept_meshes == {steps, 2 * steps}
+        laurent = oracle._probe(pot, 0.5)[3]
+        coarse = oracle._Shooter(0.5, pot, 1, box, n, laurent, counts).solve(1, guess=guess)
+        fine = oracle._Shooter(0.5, pot, 1, box, 2 * n, laurent, tuple(2 * c for c in counts))
+        level = _richardson(coarse, fine.solve(1, guess=coarse, span=oracle._RICHARDSON_TOL))
+        assert adaptive == pytest.approx(level, rel=1e-12)
 
     def test_estimate_missing_the_seeded_bracket(self):
         # the b = 3 ground state lies 1.2 % above its Langer-WKB estimate,
@@ -906,6 +928,162 @@ class TestWkbStart:
             radial_eigenvalue(0.5, weak, l=0, n_r=0)
 
 
+# the confining levels (b, n_r, l) of the oracle benchmark, at mu = 1/2
+CONFINING_LEVELS = (
+    [(2.0, n_r, l) for n_r, l in ((0, 0), (0, 4), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 4))]
+    + [(1.0, n_r, 0) for n_r in (0, 1, 2)]
+    + [(0.5, 0, l) for l in (1, 2, 3)]
+    + [(1.5, n_r, l) for n_r, l in ((0, 0), (1, 2), (2, 4), (3, 0))]
+    + [(3.0, n_r, l) for n_r, l in ((0, 0), (1, 2), (2, 4), (3, 0))]
+)
+
+
+def _reference_segmented(shooter, e):
+    """Nodes and edge value of a pass on a segmented mesh, stepping u itself.
+
+    Each segment runs Numerov on u with its own factors, from u at its
+    first point and at the point 2h before it, both kept from the segment
+    before; a node is a sign change of u.
+    """
+    f, u1, first_term, i0 = shooter._numerov_input(e)
+    u = np.zeros(len(shooter.r))
+    u[i0 - 1], u[i0] = first_term / f[i0 - 1], u1
+    nodes = 0
+    for k, (lo, hi, h) in enumerate(shooter.segments):
+        points = list(range(i0 - 1, hi + 1)) if k == 0 else [lo - 2] + list(range(lo, hi + 1))
+        g = 1.0 + (h * h * shooter.mu / 6.0) * (e - shooter.veff[points])
+        if k == 0:
+            g[0] = f[i0 - 1]
+        for j in range(1, len(points) - 1):
+            u_next = ((12.0 - 10.0 * g[j]) * u[points[j]] - g[j - 1] * u[points[j - 1]]) / g[j + 1]
+            nodes += u_next * u[points[j]] < 0.0
+            u[points[j + 1]] = u_next
+    return nodes, u[-1]
+
+
+class TestSegmentedMesh:
+    """The step doubles segment by segment in the tail, past the tail action 3."""
+
+    @pytest.mark.parametrize("b,n_r,l", CONFINING_LEVELS)
+    def test_confining_levels_keep_one_step(self, monkeypatch, b, n_r, l):
+        # kappa grows without bound past a confining level's turning point:
+        # no step may double, so the mesh and its arithmetic are unchanged
+        pot = _power_pair(b, 1.0)
+        n, counts = _first_mesh(pot, l, n_r)[2:]
+        assert counts == (n,)
+        cuts = []
+        numerov_pass = oracle._numerov
+
+        def recorded(*args, **kwargs):
+            cuts.append(kwargs.get("cuts", ()))
+            return numerov_pass(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_numerov", recorded)
+        radial_eigenvalue(0.5, pot, l=l, n_r=n_r)
+        assert cuts and not any(cuts)
+
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("n_r", [0, 1, 2])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3])
+    def test_coulomb_levels_double_the_step(self, a, n_r, l):
+        # s-waves double once: a coarser step lets f fall below 1/2 at the
+        # probe's lowest V_eff, -a / r at r = 1e-3 / sqrt(mu)
+        pot = _power_pair(-1.0, a)
+        n, counts = _first_mesh(pot, l, n_r)[2:]
+        assert len(counts) == 2 if l == 0 else len(counts) >= 3
+        assert sum(c << k for k, c in enumerate(counts)) == n
+        assert all(c >= 4 and c % 2 == 0 for c in counts[1:])
+        level = radial_eigenvalue(0.5, pot, l=l, n_r=n_r)
+        assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-10)
+
+    @pytest.mark.parametrize("l,n_r", [(0, 0), (1, 1), (3, 2)])
+    def test_level_matches_the_uniform_mesh(self, l, n_r):
+        # the doubled tail moves the level by far less than the mesh's own
+        # error: the Richardson step on n and 2n uniform steps of the box
+        _, box, n, counts = _first_mesh(COULOMB, l, n_r)
+        fixed = [radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r, rmax=box, npoints=k)
+                 for k in (n, 2 * n)]
+        level = radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r)
+        assert level == pytest.approx(_richardson(*fixed), rel=1e-10)
+        # and a shot counts the nodes of the uniform mesh
+        laurent = oracle._probe(COULOMB, 0.5)[3]
+        segmented = oracle._Shooter(0.5, COULOMB, l, box, n, laurent, counts)
+        uniform = oracle._Shooter(0.5, COULOMB, l, box, n, laurent)
+        for e in level * np.array([1.3, 1.01, 0.99, 0.5, 0.2]):
+            assert segmented.shoot(e)[0] == uniform.shoot(e)[0]
+
+    @pytest.mark.parametrize("e", [-0.04, -0.03, -0.02])
+    @pytest.mark.parametrize("count_nodes", [True, False])
+    def test_pass_matches_the_recurrence_on_u(self, e, count_nodes):
+        # the pass runs on y = f u and starts each segment from y / f of
+        # the one before; the reference steps u segment by segment.  Away
+        # from the level -1/36, where the edge value is not a cancellation
+        _, box, n, counts = _first_mesh(COULOMB, 1, 1)
+        assert len(counts) == 4
+        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], counts)
+        nodes, edge = oracle._numerov(*shooter._numerov_input(e), count_nodes=count_nodes,
+                                      cuts=shooter.cuts)
+        ref_nodes, ref_edge = _reference_segmented(shooter, e)
+        assert edge == pytest.approx(ref_edge, rel=1e-9)
+        if count_nodes:
+            assert nodes == ref_nodes
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.501, 0.52, 0.9])
+    def test_tail_action_is_the_trapezoidal_rule(self, fraction):
+        # summed per segment, from a point in the first segment, in the
+        # short doubled ones or in the last
+        _, box, n, counts = _first_mesh(COULOMB, 1, 1)
+        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], counts)
+        i = int(fraction * len(shooter.r))
+        e = float(shooter.veff[i]) - 1e-3
+        ksq = 2.0 * shooter.mu * (shooter.veff[i:] - e)
+        expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[i:]))
+        assert shooter._root_integral(shooter.veff[i:] - e) == pytest.approx(expected, rel=1e-12)
+
+    def test_point_limit_counts_the_segmented_mesh(self, monkeypatch):
+        # Coulomb (1, 1): 2268 steps of the level's scale, 1062 once the
+        # tail doubles; a limit between the two refuses only the longer
+        _, _, n, counts = _first_mesh(COULOMB, 1, 1)
+        assert sum(counts) < 1500 < n
+        monkeypatch.setattr(oracle, "_MAX_POINTS", 1500)
+        assert radial_eigenvalue(0.5, COULOMB, l=1, n_r=1) == pytest.approx(-1.0 / 36.0, rel=1e-10)
+        monkeypatch.setattr(oracle, "_MAX_POINTS", sum(counts) - 1)
+        with pytest.raises(ConvergenceError, match=f"{sum(counts)} mesh points needed"):
+            radial_eigenvalue(0.5, COULOMB, l=1, n_r=1)
+
+    def test_segment_that_breaks_the_floor_keeps_the_step_before(self):
+        # a bump of 100 near r = 150, between two probe radii, far in the
+        # tail of the Coulomb (1, 1) level: on steps of 8h and of 4h its
+        # top lets f fall below 1/2, so the mesh is built twice more and
+        # the tail keeps the step 2h
+        radii = oracle._probe(COULOMB, 0.5)[0]
+        i = int(np.searchsorted(radii, 150.0))
+        top = math.sqrt(radii[i - 1] * radii[i])
+        sizes, solved = [], []
+
+        def value(r):
+            sizes.append(np.size(r))
+            return -1.0 / r + 100.0 * np.exp(-(((r - top) / 0.3) ** 2))
+
+        solve = oracle._Shooter.solve
+
+        def recorded(self, *args, **kwargs):
+            solved.append(self.counts)
+            return solve(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle._Shooter, "solve", recorded)
+            level = radial_eigenvalue(0.5, InteractionTriple(value, OSC.d1, OSC.d2, "bump"), 1, 1)
+        counts = _first_mesh(COULOMB, 1, 1)[3]
+        assert len(counts) == 4
+        kept = (counts[0], counts[1] + 2 * counts[2] + 4 * counts[3])
+        assert solved == [kept, tuple(2 * c for c in kept)]
+        assert sizes == [404, sum(counts), sum(counts[:2]) + counts[2] + 2 * counts[3],
+                         sum(kept), 2 * sum(kept)]
+        # the bump lies where u^2 ~ e^-38: the level is Coulomb's
+        assert level == pytest.approx(-1.0 / 36.0, rel=1e-10)
+
+
 def _reference_sweep(f, u1, first_term):
     """The Numerov recurrence on u itself, one step at a time.
 
@@ -924,6 +1102,27 @@ def _reference_sweep(f, u1, first_term):
             carry *= 1e-250
             rescales += 1
     return nodes, u_cur, rescales
+
+
+def _reference_segments(f, u1, first_term, cuts):
+    """The Numerov recurrence on u itself, segment by segment, as _numerov reads cuts.
+
+    Each segment starts from u at the previous one's entries two steps and
+    zero steps before its end.  Returns (nodes, u at the edge, nodes in
+    the last step of a segment that a cut ends).
+    """
+    bounds = [0, *cuts, len(f)]
+    seg_u, nodes, at_cuts = [first_term / f[0], u1], 0, 0
+    for a, end in zip(bounds, bounds[1:]):
+        if a:
+            seg_u = [seg_u[-3], seg_u[-1]]
+        for j in range(a + 1, end - 1):
+            u_next = ((12.0 - 10.0 * f[j]) * seg_u[-1] - f[j - 1] * seg_u[-2]) / f[j + 1]
+            node = u_next * seg_u[-1] < 0.0
+            nodes += node
+            at_cuts += node and j == end - 2 and end < len(f)
+            seg_u.append(u_next)
+    return nodes, seg_u[-1], at_cuts
 
 
 def _agree_up_to_rescale(x, ref, rel=1e-9):
@@ -1017,6 +1216,25 @@ class TestSweep:
         assert oracle._numerov(f, 1e-3, 0.4, start, count_nodes=False)[1] == edge
         assert nodes == ref_nodes
         assert edge == pytest.approx(ref_edge, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_segmented_passes_match_the_plain_recurrence(self, seed):
+        # f > 1, an allowed region: u changes sign every ~4 steps, so with
+        # a cut at each of 12 entries in a row some sign changes fall on
+        # the last step before a cut
+        rng = np.random.default_rng(seed)
+        at_cuts = 0
+        for cut in range(20, 32):
+            f = 1.05 + 0.01 * rng.standard_normal(80)
+            f[0] = 1.0
+            for cuts in ((cut,), (cut, cut + 20)):
+                nodes, edge = oracle._numerov(f, 1e-3, 0.4, cuts=cuts)
+                ref_nodes, ref_edge, ref_at_cuts = _reference_segments(f, 1e-3, 0.4, cuts)
+                assert oracle._numerov(f, 1e-3, 0.4, count_nodes=False, cuts=cuts)[1] == edge
+                assert nodes == ref_nodes
+                assert edge == pytest.approx(ref_edge, rel=1e-9)
+                at_cuts += ref_at_cuts
+        assert at_cuts > 0
 
     @pytest.mark.parametrize("l", [0, 3])
     @pytest.mark.parametrize("e", [1.0, 20.0, 300.0])
