@@ -22,22 +22,22 @@ the mesh, and the first box reaches twice as far as the lowest V_eff,
 with 40 points per unit length within [1000, 25000].  Either mesh keeps
 the Numerov factor >= 1/2 above the lowest V_eff, up to 2^20 points.
 Past the radius where the tail action from the outer turning point
-reaches 3, the level-scale mesh doubles its step segment by segment while
-h kappa stays <= 0.1 over the rest of the box and the factor stays >= 1/2
-(_segments): a Coulomb tail, where kappa levels off, takes ~40 % fewer
-steps; a confining one, where kappa grows, keeps one step.  A box grows by
-1.8 until the turning point is within 60% of it and the tail action
-beyond is >= 15.  The final box is solved again with every segment's step
-halved, on twice its n points: the error runs as h^4, h^6, ..., so
-(16 E(2n) - E(n)) / 15 is O(h^6).  While |E(2n) - E(n)| is above 5e-8 of
-|E| (or of 1e-3 of the level's WKB kinetic energy) the mesh doubles again
-(ConvergenceError past 2^20 points).  A caller's mesh (rmax and npoints,
-both or neither) is checked once, before any pass, for a Numerov factor
-f <= 0 at the lowest V_eff on it, then solved once; its level has an
-error O(h^4).
+reaches 3, the level-scale mesh steps by 2^k h to the box edge, for the
+largest k with 2^k h kappa <= 0.1 over the rest of the box and the factor
+>= 1/2 (_segments, checked again on the built mesh): a Coulomb tail,
+where kappa levels off, takes ~40 % fewer steps; a confining one, where
+kappa grows, keeps one step.  A box grows by 1.8 until the turning point
+is within 60% of it and the tail action beyond is >= 15.  The final box
+is solved again with both steps halved, on twice its n points: the error
+runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6).  While
+|E(2n) - E(n)| is above 5e-8 of |E| (or of 1e-3 of the level's WKB
+kinetic energy) the mesh doubles again (ConvergenceError past 2^20
+points).  A caller's mesh (rmax and npoints, both or neither) is checked
+once, before any pass, for a Numerov factor f <= 0 at the lowest V_eff
+on it, then solved once; its level has an error O(h^4).
 
 One Numerov driver (_numerov) runs every pass, on y = f u, one
-recurrence per segment, and checks for overflow once per chunk of steps.
+recurrence per step size, and checks for overflow once per chunk of steps.
 The node-counting pass serves the bracket walk, the bisection and the
 final node check; the edge-only pass serves Brent and gives the same edge
 value bit for bit.  For l >= 3 the Numerov factor of the first ~l / 3.5
@@ -49,7 +49,6 @@ of u.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable
 
@@ -74,13 +73,13 @@ _SEED_SPAN = 0.01
 # number, at the WKB level above the bottom of the Langer well
 _STEP_PHASE = 0.045
 # tail action from the outer turning point past which an adaptive mesh may
-# double its step, where u^2 < e^(-6): the Coulomb levels n_r <= 2, l <= 3
-# move by <= 3.2e-13 |E| from one step over the box (2: 1.4e-12; 5: 1.3e-13
-# for 11 % more steps)
+# take a coarser step, where u^2 < e^(-6): the Coulomb levels n_r <= 2,
+# l <= 3 move by <= 3.2e-13 |E| from one step over the box (2: 1.4e-12; 5:
+# 1.4e-13 for 11 % more steps)
 _DOUBLING_ACTION = 3.0
-# largest h kappa of a doubled step over the rest of the box, kappa =
+# largest h kappa of the coarse step over the rest of the box, kappa =
 # sqrt(2 mu (V_eff - E)) at the WKB level: the same levels move by <= 3.2e-13
-# |E| (0.2: 8.4e-13; 0.4: 2.3e-12; 0.05: 1.1e-13 for 11 % more steps)
+# |E| (0.2: 2.9e-12; 0.4: 2.1e-12; 0.05: 1.1e-13 for 11 % more steps)
 _DOUBLED_DECAY = 0.1
 
 # Numerov steps between two overflow checks
@@ -146,7 +145,7 @@ def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int,
     _STEP_PHASE / k_max, k_max^2 = 2 mu (E - min V_Langer) + (2 mu coulomb /
     (l + 1))^2: with a Coulomb part the small-r start is only O(h^5).  The
     doubling sample is the first where the tail action reaches
-    _DOUBLING_ACTION, past which the step may double (_segments).  None
+    _DOUBLING_ACTION, past which the step may grow (_segments).  None
     when the samples hold no level below the asymptote.
     """
     r, veff = radii[:400], veff[:400]
@@ -179,55 +178,42 @@ def _wkb_scale(mu: float, radii: np.ndarray, veff: np.ndarray, l: int, n_r: int,
     return e, box, _STEP_PHASE / math.sqrt(k_sq), past
 
 
-def _segments(mu: float, e: float, radii: np.ndarray, veff: np.ndarray, bottom: float,
-              box: float, n: int) -> tuple[int, ...]:
-    """Steps per segment of an adaptive mesh of box, n steps of h = box / n before doubling.
+def _coarse_fits(mu: float, step: float, top: float, e: float, bottom: float) -> bool:
+    """Whether step suits a tail whose highest V_eff is top, for a level e above bottom.
 
-    Segment k steps by 2^k h.  radii and veff are probe samples from the
-    first where the tail action reaches _DOUBLING_ACTION; the first
-    doubling falls on the mesh point past radii[0].  Segment k may take its
-    step while, over the samples from its start to the first at or past the
-    box, 2^k h kappa <= _DOUBLED_DECAY at the level e, and mu (2^k h)^2 (V_eff
-    - bottom) / 6 <= 1/2 keeps the Numerov factor f >= 1/2 above the bottom
-    of V_eff; it holds an even number of steps, at least 4 (the next one
-    starts 2 steps before its end).  Every doubled segment but the last
-    holds 4 steps; the first doubling moves by less than 2^(K+1) points,
-    K the last segment, so that the last one ends on the box edge.  (n,)
-    where no doubling holds.
+    step kappa <= _DOUBLED_DECAY, kappa = sqrt(2 mu (top - e)), and mu step^2
+    (top - bottom) / 6 <= 1/2 keeps the Numerov factor f >= 1/2 at every
+    energy above the bottom of V_eff.
+    """
+    step_sq = step * step
+    return (2.0 * mu * step_sq * (top - e) <= _DOUBLED_DECAY**2
+            and mu * step_sq * (top - bottom) <= 3.0)
+
+
+def _segments(mu: float, e: float, radii: np.ndarray, veff: np.ndarray, bottom: float,
+              box: float, n: int) -> tuple[int, int] | None:
+    """Where an adaptive mesh of box, n steps of h = box / n, may step by 2^k h, and k.
+
+    radii and veff are probe samples from the first where the tail action
+    reaches _DOUBLING_ACTION.  Returns (cut, k) for the largest k >= 1 that
+    _coarse_fits the highest V_eff of the samples up to the first at or past
+    the box, at the level e, with at least 4 steps of 2^k h from mesh point
+    cut to the edge.  cut is the first point from which such steps end on
+    the edge and whose point 2^k before it, where the coarse recurrence also
+    starts, lies at or past radii[0].  None where no k holds.
     """
     h = box / n
-
-    def fits(k: int, v: float) -> bool:
-        h_sq = (h * 2**k) ** 2
-        return (2.0 * mu * h_sq * (v - e) <= _DOUBLED_DECAY**2
-                and mu * h_sq * (v - bottom) <= 3.0)
-
-    # the samples up to the first at or past the box; that one alone rules
-    # out every doubling on a confining tail
     end = min(int(np.searchsorted(radii, box)) + 1, len(radii))
-    if not fits(1, float(veff[end - 1])):
-        return (n,)
+    top = float(veff[:end].max())
     first = math.ceil(float(radii[0]) / h)
-
-    def doubles(k: int, b: int) -> bool:
-        # the highest V_eff from the last sample at or before point b on
-        i = max(int(np.searchsorted(radii[:end], b * h, "right")) - 1, 0)
-        return fits(k, float(veff[i:end].max()))
-
-    def start(k: int, shift: int = 0) -> int:
-        # first point of segment k when segments 1 to k - 1 hold 4 steps each
-        return first + shift + 8 * (2 ** (k - 1) - 1)
-
-    k = 0
-    while n - start(k + 1) >= 4 * 2 ** (k + 1) and doubles(k + 1, start(k + 1)):
-        k += 1
-    while k:
-        shift = (n - start(k)) % 2 ** (k + 1)
-        last = (n - start(k, shift)) >> k
-        if last >= 4 and all(doubles(j, start(j, shift)) for j in range(1, k + 1)):
-            return (start(1, shift),) + (4,) * (k - 1) + (last,)
-        k -= 1
-    return (n,)
+    plan, k = None, 1
+    while _coarse_fits(mu, h * 2**k, top, e, bottom):
+        m = 1 << k
+        cut = first + m + (n - first) % m
+        if n - cut < 4 * m:
+            break
+        plan, k = (cut, k), k + 1
+    return plan
 
 
 def _langer_phase(e: float, weight: np.ndarray, langer: np.ndarray) -> float:
@@ -241,7 +227,7 @@ def _unbound(e: float, asym: float) -> bool:
 
 
 def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
-             count_nodes: bool = True, cuts: tuple[int, ...] = ()) -> tuple[int, float]:
+             count_nodes: bool = True, cut: int = 0, back: int = 0) -> tuple[int, float]:
     """One Numerov pass; returns (interior node count, u at the box edge).
 
     f holds the Numerov factors 1 + h^2 k^2 / 12 on the whole mesh.  The
@@ -257,11 +243,11 @@ def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
     pass (count_nodes false) skips the node test in that loop; the count it
     returns is then meaningless.
 
-    cuts are the entries of f where a segment of a coarser step begins,
-    one recurrence each.  Such a segment holds two more entries than its
-    points: first the point 2h before its first, then its first, both
-    points of the segment before.  It starts from their y / f, times its
-    own factors there.
+    cut, if not 0, is the entry of f where a segment of a coarser step
+    begins, with a recurrence of its own.  Its first two entries are the
+    point back entries before entry cut - 1 and the point at cut - 1, both
+    of the segment before; it starts from their y / f, times its own
+    factors there.
 
     A node is a sign change of y, which has the sign of u wherever f > 0;
     where f <= 0 no count can be trusted, which radial_eigenvalue checks
@@ -272,18 +258,20 @@ def _numerov(f: np.ndarray, u1: float, first_term: float = 0.0, start: int = 1,
     # plain floats: a numpy scalar here would slow every step of the loop
     y_prev, y_cur, nodes = float(first_term), float(f[1]) * float(u1), 0
     lo = 0
-    for cut in cuts:
-        # the segment before the cut ends at entry cut - 1 of the whole f:
-        # run to the entry before it, then one more step, keeping the y two
-        # steps before the end
-        end = cut - start - 2
-        y_prev, y_cur, nodes = _recur(coeffs[lo:end], y_prev, y_cur, nodes, count_nodes)
-        y_end = coeffs[end] * y_cur - y_prev
-        if y_end * y_cur < 0.0:
-            nodes += 1
-        lo = end + 3
-        y_prev = float(f[lo]) * (y_prev / float(f[end]))
-        y_cur = float(f[lo + 1]) * (y_end / float(f[end + 2]))
+    if cut:
+        # the segment before the cut ends at entry end; the last back steps
+        # to it run here, unscaled, so that y there and back entries before
+        # share one scale
+        end = cut - start
+        y_prev, y_cur, nodes = _recur(coeffs[:end - back - 1], y_prev, y_cur, nodes, count_nodes)
+        y_back = y_cur
+        for a_i in coeffs[end - back - 1:end - 1]:
+            y_prev, y_cur = y_cur, a_i * y_cur - y_prev
+            if y_cur * y_prev < 0.0:
+                nodes += 1
+        lo = end + 1
+        y_prev = float(f[lo]) * (y_back / float(f[end - back]))
+        y_cur = float(f[lo + 1]) * (y_cur / float(f[end]))
     _, y_cur, nodes = _recur(coeffs[lo:], y_prev, y_cur, nodes, count_nodes)
     return nodes, y_cur / float(f[-1])
 
@@ -328,34 +316,35 @@ def _recur(coeffs: memoryview, y_prev: float, y_cur: float, nodes: int,
 class _Shooter:
     """Shooting machinery on a fixed box [0, rmax] of npoints steps h = rmax / npoints.
 
-    counts, if given, splits the mesh into segments: segment k takes
-    counts[k] steps of 2^k h, every 2^k-th point of the uniform mesh, and
-    the counts sum to npoints in units of h.  A Numerov pass runs one
-    recurrence per segment, each started exactly from two points of the
-    one before (_numerov).
+    doubled, if given as (cut, k), keeps every 2^k-th point of that mesh
+    from point cut on, so that the steps there are 2^k h: (npoints - cut)
+    must be a multiple of 2^k, and cut at least 2^k past the first point
+    a pass starts from.  A Numerov pass runs one recurrence up to cut and
+    another past it, started exactly from u at cut and 2^k points before
+    it (_numerov).
     """
 
     def __init__(self, mu: float, potential: InteractionTriple, l: int, rmax: float,
-                 npoints: int, laurent: tuple[float, float], counts: tuple[int, ...] | None = None):
+                 npoints: int, laurent: tuple[float, float],
+                 doubled: tuple[int, int] | None = None):
         self.mu = mu
         self.l = l
         self.rmax = rmax
         self.h = rmax / npoints
-        self.counts = counts or (npoints,)
+        self.doubled = doubled
+        self.cut, k = doubled or (npoints, 0)
+        self.jump = 1 << k
+        # each segment's first and last point and step
+        last = self.cut + ((npoints - self.cut) >> k)
+        self.segments = ((0, self.cut, self.h), (self.cut, last, self.h * self.jump))
         # the points of np.linspace(0, rmax, npoints + 1), bit for bit, that
-        # the segments keep: segment k holds mesh points lo to hi, step 2^k h,
-        # every 2^k-th point from index at on
-        if len(self.counts) == 1:
-            self.segments, points = [(0, npoints, self.h)], np.arange(npoints + 1)
-        else:
-            self.segments, points, lo, at = [], [], 0, 0
-            for k, n in enumerate(self.counts):
-                self.segments.append((lo, lo + n, self.h * 2**k))
-                points.append(at + (np.arange(k > 0, n + 1) << k))
-                lo, at = lo + n, at + (n << k)
-            points = np.concatenate(points)
+        # the mesh keeps
+        points = np.arange(last + 1)
+        if doubled:
+            points[self.cut:] = self.cut + self.jump * (points[self.cut:] - self.cut)
         self.r = points * self.h
         self.r[-1] = rmax
+        self.steps = last
         v = np.empty_like(self.r)
         v[0] = 0.0  # never used: u(0) = 0 kills the first Numerov term
         v[1:] = _on_points(potential.value, self.r[1:])
@@ -376,21 +365,21 @@ class _Shooter:
         # sign there, counting spurious nodes: the passes start at i0,
         # past that region, from the small-r series (_series)
         self.start = 1 if l < 3 else math.isqrt(l * (l + 1) // 12) + 2
-        # a pass's V_eff and h^2 mu / 6, one entry per point and segment: a
-        # segment past the first also holds its first point and the point
-        # 2h before it, where the recurrence starts (cuts: those entries)
-        if len(self.counts) == 1:
-            self.veff_x, self.scale, self.cuts = self.veff, self.h * self.h * mu / 6.0, ()
-        else:
-            # segment k >= 1 holds entries cut - 1 + j for its points lo + j
-            # and, at its cut, lo - 2
-            sizes = [self.counts[0] + 1] + [n + 2 for n in self.counts[1:]]
-            self.cuts = tuple(itertools.accumulate(sizes[:-1]))
-            shifts = [0] + [lo - cut - 1 for (lo, _, _), cut in zip(self.segments[1:], self.cuts)]
-            points = np.arange(sum(sizes)) + np.repeat(shifts, sizes)
-            points[list(self.cuts)] -= 1
-            self.veff_x = self.veff[points]
-            self.scale = np.repeat([h * h * mu / 6.0 for _, _, h in self.segments], sizes)
+        # a pass's V_eff and h^2 mu / 6: one entry per point, and where the
+        # step grows, two more before the coarse points, the ones 2^k before
+        # cut and at it, where the coarse recurrence starts (entry restart).
+        # A mesh of one step keeps V_eff itself and one scalar: the arrays
+        # cost ~5 us a shooter, ~1.5 % of a confining level
+        self.veff_x, self.scale, self.restart = self.veff, self.h * self.h * mu / 6.0, 0
+        if doubled:
+            self.restart = self.cut + 1
+            entries = np.arange(last + 3)
+            entries[self.restart:self.restart + 2] = self.cut - self.jump, self.cut
+            entries[self.restart + 2:] -= 2
+            self.veff_x = self.veff[entries]
+            coarse = self.segments[1][2]
+            self.scale = np.full(last + 3, self.scale)
+            self.scale[self.restart:] = coarse * coarse * mu / 6.0
 
     def _series(self, e: float, r: float) -> float:
         # u ~ r^(l+1) (1 + c1 r + c2 r^2) near the origin restores O(h^4)
@@ -413,10 +402,11 @@ class _Shooter:
         return f, 1.0, float(f[i0 - 1]) * u0, i0
 
     def shoot(self, e: float) -> tuple[int, float]:
-        return _numerov(*self._numerov_input(e), cuts=self.cuts)
+        return _numerov(*self._numerov_input(e), cut=self.restart, back=self.jump)
 
     def edge(self, e: float) -> float:
-        return _numerov(*self._numerov_input(e), count_nodes=False, cuts=self.cuts)[1]
+        return _numerov(*self._numerov_input(e), count_nodes=False, cut=self.restart,
+                        back=self.jump)[1]
 
     def _walk(self, e: float, step: float,
               target: Callable[[int], bool]) -> tuple[tuple | None, tuple | None]:
@@ -488,18 +478,16 @@ class _Shooter:
         np.sqrt(w, out=w)
         first, total = len(self.r) - len(w), 0.0
         for lo, hi, h in self.segments:
-            if hi > first:
+            if hi > max(lo, first):
                 part = w[max(lo - first, 0):hi + 1 - first]
                 total += h * math.sqrt(2.0 * self.mu) * (float(part.sum())
                                                           - 0.5 * float(part[0] + part[-1]))
         return total
 
-    def steep_segment(self, bottom: float) -> int:
-        """First segment past the first whose step lets f fall below 1/2 above bottom, or 0."""
-        for k, (lo, hi, h) in enumerate(self.segments[1:], 1):
-            if self.mu * h * h * (float(np.max(self.veff[lo:hi + 1])) - bottom) > 3.0:
-                return k
-        return 0
+    def coarse_fits(self, e: float, bottom: float) -> bool:
+        """Whether the coarse step _coarse_fits V_eff on the points from 2^k before cut on."""
+        return _coarse_fits(self.mu, self.segments[1][2],
+                            float(self.veff[self.cut - self.jump:].max()), e, bottom)
 
     def check_nodes(self, e: float, n_r: int) -> None:
         """ConvergenceError unless a shot just below e counts n_r nodes."""
@@ -525,22 +513,23 @@ class _Shooter:
 def _adaptive_shooter(mu: float, potential: InteractionTriple, l: int, box: float, n: int,
                       laurent: tuple[float, float], bottom: float,
                       tail: tuple[float, np.ndarray, np.ndarray] | None) -> _Shooter:
-    """The shooter on box with n steps of box / n, doubled past the tail samples where it may.
+    """The shooter on box with n steps of box / n, coarser past the tail samples where it may.
 
     tail holds the WKB level and the probe's radii and V_eff from where the
-    step may double (_segments); None keeps one step.  A doubled segment
-    whose points let f fall below 1/2 keeps the step before it, and so do
-    the segments after it; the mesh is then built again.
+    step may grow (_segments); None keeps one step.  Where the coarse step
+    does not fit the mesh's own V_eff, which the probe samples may miss, it
+    halves and the mesh is built again.
     """
-    counts = _segments(mu, *tail, bottom, box, n) if tail else (n,)
+    doubled = _segments(mu, *tail, bottom, box, n) if tail else None
     while True:
-        if sum(counts) > _MAX_POINTS:
-            raise ConvergenceError(f"{sum(counts)} mesh points needed for rmax={box:.6g}")
-        shooter = _Shooter(mu, potential, l, box, n, laurent, counts)
-        k = shooter.steep_segment(bottom)
-        if not k:
+        cut, k = doubled or (n, 0)
+        steps = cut + ((n - cut) >> k)
+        if steps > _MAX_POINTS:
+            raise ConvergenceError(f"{steps} mesh points needed for rmax={box:.6g}")
+        shooter = _Shooter(mu, potential, l, box, n, laurent, doubled)
+        if not doubled or shooter.coarse_fits(tail[0], bottom):
             return shooter
-        counts = counts[:k - 1] + (sum(c << j for j, c in enumerate(counts[k - 1:])),)
+        doubled = (cut, k - 1) if k > 1 else None
 
 
 def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
@@ -591,7 +580,7 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     guess, box, step, past = (_wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
                               or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])),
                                   None, None))
-    # an adaptive step may double past these probe samples (_segments)
+    # an adaptive step may grow past these probe samples (_segments)
     tail = None if step is None else (guess, radii[past:400], veff[past:400])
     if fixed:
         shooter = _Shooter(mu, potential, l, rmax, npoints, laurent)
@@ -644,14 +633,14 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     # E(2n) is bracketed by the largest change accepted, which bounds the
     # error, relative to |E| or to 1e-3 of the level's WKB kinetic energy
     scale = max(abs(e), 1e-3 * (_STEP_PHASE / step) ** 2 / (2.0 * mu) if step else 1.0)
-    counts = shooter.counts
+    doubled = shooter.doubled
     while True:
-        n, counts = 2 * n, tuple(2 * c for c in counts)
-        fine = _Shooter(mu, potential, l, box, n, laurent, counts).solve(
-            n_r, guess=e, span=_RICHARDSON_TOL)
+        n, doubled = 2 * n, doubled and (2 * doubled[0], doubled[1])
+        shooter = _Shooter(mu, potential, l, box, n, laurent, doubled)
+        fine = shooter.solve(n_r, guess=e, span=_RICHARDSON_TOL)
         if abs(fine - e) <= _RICHARDSON_TOL * scale:
             return (16.0 * fine - e) / 15.0
-        if 2 * sum(counts) > _MAX_POINTS:
+        if 2 * shooter.steps > _MAX_POINTS:
             raise ConvergenceError(f"the level moved from {e:.17g} to {fine:.17g} on twice "
-                                   f"the {sum(counts) // 2} mesh points of rmax={box:.6g}")
+                                   f"the {shooter.steps // 2} mesh points of rmax={box:.6g}")
         e = fine

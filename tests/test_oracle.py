@@ -348,14 +348,20 @@ def _level_scale(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5
 
 
 def _first_mesh(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5):
-    """The WKB estimate, first box, its steps of the level's scale and their segments."""
+    """The WKB estimate, first box, its steps of the level's scale and the coarse plan."""
     radii, values, asym, laurent = oracle._probe(potential, mu)
     veff = values + l * (l + 1) / (2.0 * mu * radii**2)
     guess, box, step, past = oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
     n = math.ceil(box / step)
-    counts = oracle._segments(mu, guess, radii[past:400], veff[past:400],
-                              float(np.nanmin(veff)), box, n)
-    return guess, box, n, counts
+    doubled = oracle._segments(mu, guess, radii[past:400], veff[past:400],
+                               float(np.nanmin(veff)), box, n)
+    return guess, box, n, doubled
+
+
+def _mesh_steps(n: int, doubled) -> int:
+    """Steps of a mesh of n steps h that takes steps of 2^k h from point cut on."""
+    cut, k = doubled or (n, 0)
+    return cut + (n - cut) // 2**k
 
 
 def _scale_box(potential: InteractionTriple, l: int, n_r: int) -> tuple[float, int]:
@@ -367,12 +373,12 @@ def _scale_box(potential: InteractionTriple, l: int, n_r: int) -> tuple[float, i
 def _wrap_passes(monkeypatch, record) -> None:
     """Call record(steps) before every Numerov pass: node-counting and edge-only.
 
-    f holds two more entries than points for each segment past the first.
+    f holds two more entries than points where a coarser segment begins.
     """
     numerov_pass = oracle._numerov
 
     def wrapped(f, *args, **kwargs):
-        record(len(f) - 1 - 2 * len(kwargs.get("cuts", ())))
+        record(len(f) - 1 - 2 * bool(kwargs.get("cut")))
         return numerov_pass(f, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "_numerov", wrapped)
@@ -436,12 +442,12 @@ class TestSweepBudget:
     # and 898 k steps, Coulomb (0, 10) 16 passes and 525 k steps, and
     # e^(r^2) was refused for the 1.5e44 points its mesh floor asked for;
     # with one step over the whole box Coulomb (0, 10) took 14 passes and
-    # 38 070 steps, with the step doubled in its tail 23 418
+    # 38 070 steps, with steps of 4h in its tail 23 382
     @pytest.mark.parametrize(
         "value,l,n_r,passes,steps",
         [
             (SEXTIC.value, 0, 0, 18, 3500),
-            (COULOMB.value, 10, 0, 16, 25760),
+            (COULOMB.value, 10, 0, 16, 25720),
             (lambda r: np.exp(r * r), 0, 0, 18, 3000),
         ],
         ids=["sextic", "coulomb_l10", "exp_r2"],
@@ -817,16 +823,16 @@ class TestWkbStart:
         swept_meshes = set()
         _wrap_passes(monkeypatch, swept_meshes.add)
         adaptive = radial_eigenvalue(0.5, counted, l=1, n_r=1)
-        guess, box, n, counts = _first_mesh(pot, 1, 1)
-        steps = sum(counts)
+        guess, box, n, (cut, k) = _first_mesh(pot, 1, 1)
+        steps = _mesh_steps(n, (cut, k))
         # the probe call, then one array call for the box and one for it
         # on twice the points, and sweeps only on those two meshes
-        assert len(counts) > 1 and steps < n
+        assert steps < n
         assert array_calls == [404, steps, 2 * steps]
         assert swept_meshes == {steps, 2 * steps}
         laurent = oracle._probe(pot, 0.5)[3]
-        coarse = oracle._Shooter(0.5, pot, 1, box, n, laurent, counts).solve(1, guess=guess)
-        fine = oracle._Shooter(0.5, pot, 1, box, 2 * n, laurent, tuple(2 * c for c in counts))
+        coarse = oracle._Shooter(0.5, pot, 1, box, n, laurent, (cut, k)).solve(1, guess=guess)
+        fine = oracle._Shooter(0.5, pot, 1, box, 2 * n, laurent, (2 * cut, k))
         level = _richardson(coarse, fine.solve(1, guess=coarse, span=oracle._RICHARDSON_TOL))
         assert adaptive == pytest.approx(level, rel=1e-12)
 
@@ -939,20 +945,21 @@ CONFINING_LEVELS = (
 
 
 def _reference_segmented(shooter, e):
-    """Nodes and edge value of a pass on a segmented mesh, stepping u itself.
+    """Nodes and edge value of a pass on a mesh with a coarse tail, stepping u itself.
 
-    Each segment runs Numerov on u with its own factors, from u at its
-    first point and at the point 2h before it, both kept from the segment
-    before; a node is a sign change of u.
+    Each segment runs Numerov on u with its own factors; the coarse one
+    starts from u at its first point and at the point one coarse step
+    before it, both kept from the fine one.  A node is a sign change of u.
     """
     f, u1, first_term, i0 = shooter._numerov_input(e)
     u = np.zeros(len(shooter.r))
     u[i0 - 1], u[i0] = first_term / f[i0 - 1], u1
     nodes = 0
-    for k, (lo, hi, h) in enumerate(shooter.segments):
-        points = list(range(i0 - 1, hi + 1)) if k == 0 else [lo - 2] + list(range(lo, hi + 1))
+    (_, cut, fine), (_, last, coarse) = shooter.segments
+    for seg, (points, h) in enumerate(((list(range(i0 - 1, cut + 1)), fine),
+                                       ([cut - shooter.jump] + list(range(cut, last + 1)), coarse))):
         g = 1.0 + (h * h * shooter.mu / 6.0) * (e - shooter.veff[points])
-        if k == 0:
+        if seg == 0:
             g[0] = f[i0 - 1]
         for j in range(1, len(points) - 1):
             u_next = ((12.0 - 10.0 * g[j]) * u[points[j]] - g[j - 1] * u[points[j - 1]]) / g[j + 1]
@@ -961,21 +968,32 @@ def _reference_segmented(shooter, e):
     return nodes, u[-1]
 
 
+def _bump(height: float, width: float) -> InteractionTriple:
+    """-1/r with a Gaussian bump near r = 150, midway between two probe radii."""
+    radii = oracle._probe(COULOMB, 0.5)[0]
+    i = int(np.searchsorted(radii, 150.0))
+    top = math.sqrt(radii[i - 1] * radii[i])
+
+    def value(r):
+        return -1.0 / r + height * np.exp(-(((r - top) / width) ** 2))
+
+    return InteractionTriple(value, OSC.d1, OSC.d2, "bump")
+
+
 class TestSegmentedMesh:
-    """The step doubles segment by segment in the tail, past the tail action 3."""
+    """The step grows to 2^k h in the tail, past the tail action 3."""
 
     @pytest.mark.parametrize("b,n_r,l", CONFINING_LEVELS)
     def test_confining_levels_keep_one_step(self, monkeypatch, b, n_r, l):
         # kappa grows without bound past a confining level's turning point:
-        # no step may double, so the mesh and its arithmetic are unchanged
+        # no coarser step fits, so the mesh and its arithmetic are unchanged
         pot = _power_pair(b, 1.0)
-        n, counts = _first_mesh(pot, l, n_r)[2:]
-        assert counts == (n,)
+        assert _first_mesh(pot, l, n_r)[3] is None
         cuts = []
         numerov_pass = oracle._numerov
 
         def recorded(*args, **kwargs):
-            cuts.append(kwargs.get("cuts", ()))
+            cuts.append(kwargs.get("cut"))
             return numerov_pass(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_numerov", recorded)
@@ -986,28 +1004,27 @@ class TestSegmentedMesh:
     @pytest.mark.parametrize("n_r", [0, 1, 2])
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_coulomb_levels_double_the_step(self, a, n_r, l):
-        # s-waves double once: a coarser step lets f fall below 1/2 at the
-        # probe's lowest V_eff, -a / r at r = 1e-3 / sqrt(mu)
+        # s-waves double once: 4h lets f fall below 1/2 at the probe's
+        # lowest V_eff, -a / r at r = 1e-3 / sqrt(mu)
         pot = _power_pair(-1.0, a)
-        n, counts = _first_mesh(pot, l, n_r)[2:]
-        assert len(counts) == 2 if l == 0 else len(counts) >= 3
-        assert sum(c << k for k, c in enumerate(counts)) == n
-        assert all(c >= 4 and c % 2 == 0 for c in counts[1:])
+        n, (cut, k) = _first_mesh(pot, l, n_r)[2:]
+        assert k == 1 if l == 0 else k >= 2
+        assert (n - cut) % 2**k == 0 and n - cut >= 4 * 2**k
         level = radial_eigenvalue(0.5, pot, l=l, n_r=n_r)
         assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-10)
 
     @pytest.mark.parametrize("l,n_r", [(0, 0), (1, 1), (3, 2)])
     def test_level_matches_the_uniform_mesh(self, l, n_r):
-        # the doubled tail moves the level by far less than the mesh's own
+        # the coarse tail moves the level by far less than the mesh's own
         # error: the Richardson step on n and 2n uniform steps of the box
-        _, box, n, counts = _first_mesh(COULOMB, l, n_r)
+        _, box, n, doubled = _first_mesh(COULOMB, l, n_r)
         fixed = [radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r, rmax=box, npoints=k)
                  for k in (n, 2 * n)]
         level = radial_eigenvalue(0.5, COULOMB, l=l, n_r=n_r)
         assert level == pytest.approx(_richardson(*fixed), rel=1e-10)
         # and a shot counts the nodes of the uniform mesh
         laurent = oracle._probe(COULOMB, 0.5)[3]
-        segmented = oracle._Shooter(0.5, COULOMB, l, box, n, laurent, counts)
+        segmented = oracle._Shooter(0.5, COULOMB, l, box, n, laurent, doubled)
         uniform = oracle._Shooter(0.5, COULOMB, l, box, n, laurent)
         for e in level * np.array([1.3, 1.01, 0.99, 0.5, 0.2]):
             assert segmented.shoot(e)[0] == uniform.shoot(e)[0]
@@ -1015,73 +1032,88 @@ class TestSegmentedMesh:
     @pytest.mark.parametrize("e", [-0.04, -0.03, -0.02])
     @pytest.mark.parametrize("count_nodes", [True, False])
     def test_pass_matches_the_recurrence_on_u(self, e, count_nodes):
-        # the pass runs on y = f u and starts each segment from y / f of
-        # the one before; the reference steps u segment by segment.  Away
+        # the pass runs on y = f u and starts the coarse segment from y / f
+        # of the fine one; the reference steps u segment by segment.  Away
         # from the level -1/36, where the edge value is not a cancellation
-        _, box, n, counts = _first_mesh(COULOMB, 1, 1)
-        assert len(counts) == 4
-        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], counts)
+        _, box, n, doubled = _first_mesh(COULOMB, 1, 1)
+        assert doubled[1] == 3
+        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], doubled)
         nodes, edge = oracle._numerov(*shooter._numerov_input(e), count_nodes=count_nodes,
-                                      cuts=shooter.cuts)
+                                      cut=shooter.restart, back=shooter.jump)
         ref_nodes, ref_edge = _reference_segmented(shooter, e)
         assert edge == pytest.approx(ref_edge, rel=1e-9)
         if count_nodes:
             assert nodes == ref_nodes
 
-    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.501, 0.52, 0.9])
-    def test_tail_action_is_the_trapezoidal_rule(self, fraction):
-        # summed per segment, from a point in the first segment, in the
-        # short doubled ones or in the last
-        _, box, n, counts = _first_mesh(COULOMB, 1, 1)
-        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], counts)
-        i = int(fraction * len(shooter.r))
+    @pytest.mark.parametrize("offset", [-500, -1, 0, 1, 100])
+    def test_tail_action_is_the_trapezoidal_rule(self, offset):
+        # summed per segment, from a point of the fine segment, the cut or
+        # a point of the coarse one
+        _, box, n, doubled = _first_mesh(COULOMB, 1, 1)
+        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], doubled)
+        i = shooter.cut + offset
         e = float(shooter.veff[i]) - 1e-3
         ksq = 2.0 * shooter.mu * (shooter.veff[i:] - e)
         expected = float(np.trapezoid(np.sqrt(np.clip(ksq, 0.0, None)), shooter.r[i:]))
         assert shooter._root_integral(shooter.veff[i:] - e) == pytest.approx(expected, rel=1e-12)
 
     def test_point_limit_counts_the_segmented_mesh(self, monkeypatch):
-        # Coulomb (1, 1): 2268 steps of the level's scale, 1062 once the
-        # tail doubles; a limit between the two refuses only the longer
-        _, _, n, counts = _first_mesh(COULOMB, 1, 1)
-        assert sum(counts) < 1500 < n
+        # Coulomb (1, 1): 2268 steps of the level's scale, 1057 with the
+        # coarse tail; a limit between the two refuses only the longer
+        _, _, n, doubled = _first_mesh(COULOMB, 1, 1)
+        steps = _mesh_steps(n, doubled)
+        assert steps < 1500 < n
         monkeypatch.setattr(oracle, "_MAX_POINTS", 1500)
         assert radial_eigenvalue(0.5, COULOMB, l=1, n_r=1) == pytest.approx(-1.0 / 36.0, rel=1e-10)
-        monkeypatch.setattr(oracle, "_MAX_POINTS", sum(counts) - 1)
-        with pytest.raises(ConvergenceError, match=f"{sum(counts)} mesh points needed"):
+        monkeypatch.setattr(oracle, "_MAX_POINTS", steps - 1)
+        with pytest.raises(ConvergenceError, match=f"{steps} mesh points needed"):
             radial_eigenvalue(0.5, COULOMB, l=1, n_r=1)
 
-    def test_segment_that_breaks_the_floor_keeps_the_step_before(self):
-        # a bump of 100 near r = 150, between two probe radii, far in the
-        # tail of the Coulomb (1, 1) level: on steps of 8h and of 4h its
-        # top lets f fall below 1/2, so the mesh is built twice more and
-        # the tail keeps the step 2h
-        radii = oracle._probe(COULOMB, 0.5)[0]
-        i = int(np.searchsorted(radii, 150.0))
-        top = math.sqrt(radii[i - 1] * radii[i])
+    @pytest.mark.parametrize(
+        "height,width,kept",
+        [(0.06, 1.0, 2), (0.3, 1.0, 1), (100.0, 0.3, 0)],
+        ids=["kappa-8h", "kappa-8h-4h", "floor-8h-4h-kappa-2h"],
+    )
+    def test_coarse_step_that_misfits_the_mesh_halves(self, height, width, kept):
+        # a bump near r = 150, between two probe radii, far in the tail of
+        # the Coulomb (1, 1) level, which plans steps of 8h from the probe.
+        # On the built mesh a low bump breaks 2^k h kappa <= 0.1 alone, on
+        # 8h (0.06) or on 8h and 4h (0.3); one of 100 also lets f fall
+        # below 1/2 on 8h and 4h, and breaks kappa on 2h.  Each misfit
+        # halves the step and builds the mesh again
+        pot = _bump(height, width)
         sizes, solved = [], []
 
         def value(r):
             sizes.append(np.size(r))
-            return -1.0 / r + 100.0 * np.exp(-(((r - top) / 0.3) ** 2))
+            return pot.value(r)
 
         solve = oracle._Shooter.solve
 
         def recorded(self, *args, **kwargs):
-            solved.append(self.counts)
+            solved.append(self.doubled)
             return solve(self, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle._Shooter, "solve", recorded)
             level = radial_eigenvalue(0.5, InteractionTriple(value, OSC.d1, OSC.d2, "bump"), 1, 1)
-        counts = _first_mesh(COULOMB, 1, 1)[3]
-        assert len(counts) == 4
-        kept = (counts[0], counts[1] + 2 * counts[2] + 4 * counts[3])
-        assert solved == [kept, tuple(2 * c for c in kept)]
-        assert sizes == [404, sum(counts), sum(counts[:2]) + counts[2] + 2 * counts[3],
-                         sum(kept), 2 * sum(kept)]
+        n, (cut, k) = _first_mesh(COULOMB, 1, 1)[2:]
+        assert k == 3
+        doubled = (cut, kept) if kept else None
+        assert solved == [doubled, doubled and (2 * cut, kept)]
+        built = [_mesh_steps(n, (cut, j) if j else None) for j in range(k, kept - 1, -1)]
+        assert sizes == [404, *built, 2 * built[-1]]
         # the bump lies where u^2 ~ e^-38: the level is Coulomb's
         assert level == pytest.approx(-1.0 / 36.0, rel=1e-10)
+
+    def test_coarse_step_keeps_the_floor_on_the_mesh(self):
+        # the same test holds the Numerov factor f >= 1/2 above the bottom
+        # of V_eff on the built mesh: Coulomb (1, 1)'s steps of 8h fit
+        # above its bottom, -1/8, but not above -1e3
+        guess, box, n, doubled = _first_mesh(COULOMB, 1, 1)
+        shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], doubled)
+        assert shooter.coarse_fits(guess, -0.125)
+        assert not shooter.coarse_fits(guess, -1e3)
 
 
 def _reference_sweep(f, u1, first_term):
@@ -1104,25 +1136,27 @@ def _reference_sweep(f, u1, first_term):
     return nodes, u_cur, rescales
 
 
-def _reference_segments(f, u1, first_term, cuts):
-    """The Numerov recurrence on u itself, segment by segment, as _numerov reads cuts.
+def _reference_restart(f, u1, first_term, cut, back):
+    """The Numerov recurrence on u itself, restarted at entry cut as _numerov reads it.
 
-    Each segment starts from u at the previous one's entries two steps and
-    zero steps before its end.  Returns (nodes, u at the edge, nodes in
-    the last step of a segment that a cut ends).
+    Up to entry cut - 1 it runs on f; from entry cut on it starts again
+    from u at entries cut - 1 - back and cut - 1, with the factors f[cut]
+    and f[cut + 1] there.  Returns (nodes, u at the edge, nodes in the
+    last back steps before the restart and in the first step after it).
     """
-    bounds = [0, *cuts, len(f)]
-    seg_u, nodes, at_cuts = [first_term / f[0], u1], 0, 0
-    for a, end in zip(bounds, bounds[1:]):
-        if a:
-            seg_u = [seg_u[-3], seg_u[-1]]
-        for j in range(a + 1, end - 1):
-            u_next = ((12.0 - 10.0 * f[j]) * seg_u[-1] - f[j - 1] * seg_u[-2]) / f[j + 1]
-            node = u_next * seg_u[-1] < 0.0
-            nodes += node
-            at_cuts += node and j == end - 2 and end < len(f)
-            seg_u.append(u_next)
-    return nodes, seg_u[-1], at_cuts
+    u, nodes, near = [first_term / f[0], u1], 0, 0
+    for j in range(1, cut - 1):
+        u.append(((12.0 - 10.0 * f[j]) * u[j] - f[j - 1] * u[j - 1]) / f[j + 1])
+        node = u[-1] * u[j] < 0.0
+        nodes += node
+        near += node and j >= cut - 1 - back
+    g, seg = f[cut:], [u[cut - 1 - back], u[cut - 1]]
+    for j in range(1, len(g) - 1):
+        seg.append(((12.0 - 10.0 * g[j]) * seg[j] - g[j - 1] * seg[j - 1]) / g[j + 1])
+        node = seg[-1] * seg[j] < 0.0
+        nodes += node
+        near += node and j == 1
+    return nodes, seg[-1], near
 
 
 def _agree_up_to_rescale(x, ref, rel=1e-9):
@@ -1220,21 +1254,22 @@ class TestSweep:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_segmented_passes_match_the_plain_recurrence(self, seed):
         # f > 1, an allowed region: u changes sign every ~4 steps, so with
-        # a cut at each of 12 entries in a row some sign changes fall on
-        # the last step before a cut
+        # a restart at each of 12 entries in a row, 2 to 8 entries back,
+        # some sign changes fall on the steps just before and after it
         rng = np.random.default_rng(seed)
-        at_cuts = 0
+        near = 0
         for cut in range(20, 32):
             f = 1.05 + 0.01 * rng.standard_normal(80)
             f[0] = 1.0
-            for cuts in ((cut,), (cut, cut + 20)):
-                nodes, edge = oracle._numerov(f, 1e-3, 0.4, cuts=cuts)
-                ref_nodes, ref_edge, ref_at_cuts = _reference_segments(f, 1e-3, 0.4, cuts)
-                assert oracle._numerov(f, 1e-3, 0.4, count_nodes=False, cuts=cuts)[1] == edge
+            for back in (2, 5, 8):
+                nodes, edge = oracle._numerov(f, 1e-3, 0.4, cut=cut, back=back)
+                ref_nodes, ref_edge, ref_near = _reference_restart(f, 1e-3, 0.4, cut, back)
+                assert oracle._numerov(f, 1e-3, 0.4, count_nodes=False, cut=cut,
+                                       back=back)[1] == edge
                 assert nodes == ref_nodes
                 assert edge == pytest.approx(ref_edge, rel=1e-9)
-                at_cuts += ref_at_cuts
-        assert at_cuts > 0
+                near += ref_near
+        assert near > 0
 
     @pytest.mark.parametrize("l", [0, 3])
     @pytest.mark.parametrize("e", [1.0, 20.0, 300.0])
