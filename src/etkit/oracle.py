@@ -36,7 +36,7 @@ points).  A caller's mesh (rmax and npoints, both or neither) is checked
 once, before any pass, for a Numerov factor f <= 0 at the lowest V_eff
 on it, then solved once; its level has an error O(h^4).
 
-One Numerov driver (_numerov) runs every pass, on y = f u, one
+One Numerov routine (_numerov) runs every pass, on y = f u, one
 recurrence per step size, and checks for overflow once per chunk of steps.
 The node-counting pass serves the bracket walk, the bisection and the
 final node check; the edge-only pass serves Brent and gives the same edge
