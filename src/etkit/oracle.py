@@ -7,26 +7,29 @@ Solves the reduced radial problem
 by outward Numerov integration.  Each level is isolated by bisection on
 the node count until the bracket ends hold n_r and n_r + 1 nodes; across
 that bracket u(rmax) changes sign once, at the level, and Brent's method
-converges on that zero.  Nothing here touches the envelope machinery
+converges on that zero.  The bracket starts from one shot at a guess and
+walks out on the side its node count points to, never below the lowest
+V_eff on the mesh.  Nothing here touches the envelope machinery
 beyond that root finder: this is the reference the approximate energies
 are tested against.
 
 One call samples V near the origin, for the Coulomb part of the small-r
 start, and on a log grid out to 1e7: where V_eff never dips below V's
 limit at large r there is no level (NoBoundState at once).  On that grid
-the Langer-WKB condition gives the level's own scale (_wkb_scale): it
-seeds a +-1 % bracket for every solve, on either kind of mesh, and sets
-the first box and the mesh step.  Without it (Langer-WKB misses
-near-threshold s-waves) the bracket starts from the extremes of V_eff on
-the mesh, and the first box reaches twice as far as the lowest V_eff,
-with 40 points per unit length within [1000, 25000].  Either mesh keeps
-the Numerov factor >= 1/2 above the lowest V_eff, up to 2^20 points.
-Past the radius where the tail action from the outer turning point
-reaches 3, the level-scale mesh steps by 2^k h to the box edge, for the
-largest k with 2^k h kappa <= 0.1 over the rest of the box and the factor
->= 1/2 (_segments, checked again on the built mesh): a Coulomb tail,
-where kappa levels off, takes ~40 % fewer steps; a confining one, where
-kappa grows, keeps one step.  A box grows by 1.8 until the turning point
+the Langer-WKB condition gives the level's own scale (_wkb_scale): it is
+the guess of every solve, on either kind of mesh, whose bracket walks in
+steps of 1 % of it, and sets the first box and the mesh step.  Without it
+(Langer-WKB misses near-threshold s-waves) the bracket walks up from the
+lowest V_eff on the mesh, and the first box reaches twice as far as the
+lowest V_eff, with 40 points per unit length within [1000, 25000].
+Either mesh keeps the Numerov factor >= 1/2 above its lowest V_eff, up
+to 2^20 points.  Past the radius where the tail action from the outer
+turning point reaches 3, the level-scale mesh steps by 2^k h to the box
+edge, for the largest k with 2^k h kappa <= 0.1 over the rest of the box
+and the factor >= 1/2 (_segments, from the probe's samples at r >= h,
+checked again on the built mesh): a Coulomb tail, where kappa levels
+off, takes steps of 4h or 8h; a confining one, where kappa grows, keeps
+one step.  A box grows by 1.8 until the turning point
 is within 60% of it and the tail action beyond is >= 15.  The final box
 is solved again with both steps halved, on twice its n points: the error
 runs as h^4, h^6, ..., so (16 E(2n) - E(n)) / 15 is O(h^6).  While
@@ -50,7 +53,6 @@ of u.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -66,8 +68,8 @@ _TURNING_FRACTION = 0.6
 _MIN_TAIL_ACTION = 15.0
 _MAX_BOX_GROWTHS = 14
 _MAX_UNBOUND_ROUNDS = 5
-# half-width of the bracket around a WKB estimate, relative to it; Langer
-# misses the power-law levels tried by ~1 %, and a miss widens the bracket
+# first step of the bracket walk from a WKB estimate, relative to it; Langer
+# misses the power-law levels tried by ~1 %, and a miss takes more steps
 _SEED_SPAN = 0.01
 # WKB phase per step of an adaptive mesh, h k_max: the largest local wave
 # number, at the WKB level above the bottom of the Langer well
@@ -107,8 +109,11 @@ def _probe(potential: InteractionTriple,
     overflow), so none is found for a confining potential; a NaN there is
     a DomainError.
     """
-    radii = np.concatenate(((1e-8, 5e-9), np.geomspace(1e-3 / math.sqrt(mu), 1e5, 400),
-                            (1e6, 1e7)))
+    # np.geomspace(r0, 1e5, 400) bit for bit, at a third of its cost
+    r0 = 1e-3 / math.sqrt(mu)
+    grid = 10.0 ** np.linspace(math.log10(r0), 5.0, 400)
+    grid[0], grid[-1] = r0, 1e5
+    radii = np.concatenate(((1e-8, 5e-9), grid, (1e6, 1e7)))
     values = _on_points(potential.value, radii)
     (r1, r2), (v1, v2) = radii[:2].tolist(), values[:2].tolist()
     if not (math.isfinite(v1) and math.isfinite(v2)):
@@ -183,26 +188,30 @@ def _coarse_fits(mu: float, step: float, top: float, e: float, bottom: float) ->
 
     step kappa <= _DOUBLED_DECAY, kappa = sqrt(2 mu (top - e)), and mu step^2
     (top - bottom) / 6 <= 1/2 keeps the Numerov factor f >= 1/2 at every
-    energy above the bottom of V_eff.
+    energy above bottom, the lowest V_eff on the mesh.
     """
     step_sq = step * step
     return (2.0 * mu * step_sq * (top - e) <= _DOUBLED_DECAY**2
             and mu * step_sq * (top - bottom) <= 3.0)
 
 
-def _segments(mu: float, e: float, radii: np.ndarray, veff: np.ndarray, bottom: float,
+def _segments(mu: float, e: float, radii: np.ndarray, veff: np.ndarray, past: int,
               box: float, n: int) -> tuple[int, int] | None:
     """Where an adaptive mesh of box, n steps of h = box / n, may step by 2^k h, and k.
 
-    radii and veff are probe samples from the first where the tail action
-    reaches _DOUBLING_ACTION.  Returns (cut, k) for the largest k >= 1 that
-    _coarse_fits the highest V_eff of the samples up to the first at or past
-    the box, at the level e, with at least 4 steps of 2^k h from mesh point
-    cut to the edge.  cut is the first point from which such steps end on
-    the edge and whose point 2^k before it, where the coarse recurrence also
-    starts, lies at or past radii[0].  None where no k holds.
+    radii and veff are the probe's log-spaced samples; past is the first
+    where the tail action reaches _DOUBLING_ACTION.  Returns (cut, k) for
+    the largest k >= 1 that _coarse_fits the highest V_eff of the samples
+    from past up to the first at or past the box, at the level e, above the
+    lowest V_eff of the samples at r >= h (the mesh's first point), with at
+    least 4 steps of 2^k h from mesh point cut to the edge.  cut is the
+    first point from which such steps end on the edge and whose point 2^k
+    before it, where the coarse recurrence also starts, lies at or past
+    radii[past].  None where no k holds.
     """
     h = box / n
+    bottom = float(veff[int(np.searchsorted(radii, h)):].min())
+    radii, veff = radii[past:], veff[past:]
     end = min(int(np.searchsorted(radii, box)) + 1, len(radii))
     top = float(veff[:end].max())
     first = math.ceil(float(radii[0]) / h)
@@ -356,6 +365,8 @@ class _Shooter:
         if l > 0:
             v[1:] += l * (l + 1) / (2.0 * mu * self.r[1:] ** 2)
         self.veff = v
+        # no level lies below the lowest V_eff, and no bracket walk (_walk)
+        self.bottom = float(v[1:].min())
         self.lau_a, self.lau_b = laurent
         # limit of 2 mu (V_eff - E) u at r = 0 for u ~ r^(l+1): the 1/r
         # part of V survives at l = 0, the centrifugal term at l = 1
@@ -408,48 +419,39 @@ class _Shooter:
         return _numerov(*self._numerov_input(e), count_nodes=False, cut=self.restart,
                         back=self.jump)[1]
 
-    def _walk(self, e: float, step: float,
-              target: Callable[[int], bool]) -> tuple[tuple | None, tuple | None]:
-        """Shoot at e, then move it by step, doubling step, until target(nodes).
+    def _walk(self, shot: tuple, step: float, n_r: int) -> tuple[tuple, tuple]:
+        """The shots (below, above) on either side of the level, walking out from shot.
 
-        Returns the first shot that meets the target and the last one
-        that did not, as (e, nodes, u at the edge) or None: the first is
-        None after 80 tries, the second when e met the target at once.
+        shot is (e0, nodes, u at the edge).  The next shots lie step, 2 step,
+        4 step, ... from e0, up if shot counts n_r nodes or fewer and down
+        otherwise, until the count crosses n_r; downward no lower than the
+        bottom of V_eff.  ConvergenceError after 80 more shots, or at that
+        bottom.
         """
-        missed = None
+        up, e0 = shot[1] <= n_r, shot[0]
         for _ in range(80):
-            shot = (e, *self.shoot(e))
-            if target(shot[1]):
-                return shot, missed
-            missed = shot
-            e += step
-            step *= 2.0
-        return None, missed
+            if not up and shot[0] <= self.bottom:
+                break
+            e = e0 + step if up else max(e0 - step, self.bottom)
+            new = (e, *self.shoot(e))
+            if (new[1] <= n_r) != up:
+                return (shot, new) if up else (new, shot)
+            shot, step = new, 2.0 * step
+        raise ConvergenceError(f"could not bracket the level from {'above' if up else 'below'}")
 
     def solve(self, n_r: int, guess: float | None = None, span: float = _SEED_SPAN) -> float:
         """Level with n_r nodes: node-count bisection, then Brent on u(rmax).
 
         guess, the probe's Langer-WKB estimate or the level on a coarser
-        mesh, starts the bracket at +-span relative around it; without one,
-        the bracket starts from the lowest V_eff on the mesh and its edge
-        value.  A shot that misses one end of the bracket is kept as the
-        other end.
+        mesh, is shot first, and the bracket walks out from it in steps of
+        span relative to it, on the side its node count points to; without
+        one, from the bottom of V_eff in steps of its rise to the edge.
         """
         if guess is None:
-            lo = float(np.min(self.veff[1:]))
-            hi = max(float(self.veff[-1]), lo + 1.0)
-            step = max(abs(hi - lo), 1.0)
+            e, step = self.bottom, max(float(self.veff[-1]) - self.bottom, 1.0)
         else:
-            step = span * (abs(guess) or 1.0)
-            lo, hi = guess - step, guess + step
-        below, above = self._walk(lo, -step, lambda k: k <= n_r)
-        if below is None:
-            raise ConvergenceError("could not bracket the level from below")
-        if above is None:
-            above, missed = self._walk(hi, step, lambda k: k > n_r)
-            if above is None:
-                raise ConvergenceError("could not bracket the level from above")
-            below = missed or below
+            e, step = guess, span * (abs(guess) or 1.0)
+        below, above = self._walk((e, *self.shoot(e)), step, n_r)
         (lo, n_lo, u_lo), (hi, n_hi, u_hi) = below, above
         while n_lo != n_r or n_hi != n_r + 1:
             mid = 0.5 * (lo + hi)
@@ -484,10 +486,10 @@ class _Shooter:
                                                           - 0.5 * float(part[0] + part[-1]))
         return total
 
-    def coarse_fits(self, e: float, bottom: float) -> bool:
+    def coarse_fits(self, e: float) -> bool:
         """Whether the coarse step _coarse_fits V_eff on the points from 2^k before cut on."""
         return _coarse_fits(self.mu, self.segments[1][2],
-                            float(self.veff[self.cut - self.jump:].max()), e, bottom)
+                            float(self.veff[self.cut - self.jump:].max()), e, self.bottom)
 
     def check_nodes(self, e: float, n_r: int) -> None:
         """ConvergenceError unless a shot just below e counts n_r nodes."""
@@ -511,23 +513,23 @@ class _Shooter:
 
 
 def _adaptive_shooter(mu: float, potential: InteractionTriple, l: int, box: float, n: int,
-                      laurent: tuple[float, float], bottom: float,
-                      tail: tuple[float, np.ndarray, np.ndarray] | None) -> _Shooter:
+                      laurent: tuple[float, float],
+                      tail: tuple[float, np.ndarray, np.ndarray, int] | None) -> _Shooter:
     """The shooter on box with n steps of box / n, coarser past the tail samples where it may.
 
-    tail holds the WKB level and the probe's radii and V_eff from where the
-    step may grow (_segments); None keeps one step.  Where the coarse step
-    does not fit the mesh's own V_eff, which the probe samples may miss, it
-    halves and the mesh is built again.
+    tail holds the WKB level, the probe's radii and V_eff and the first
+    sample from where the step may grow (_segments); None keeps one step.
+    Where the coarse step does not fit the mesh's own V_eff, which the
+    probe samples may miss, it halves and the mesh is built again.
     """
-    doubled = _segments(mu, *tail, bottom, box, n) if tail else None
+    doubled = _segments(mu, *tail, box, n) if tail else None
     while True:
         cut, k = doubled or (n, 0)
         steps = cut + ((n - cut) >> k)
         if steps > _MAX_POINTS:
             raise ConvergenceError(f"{steps} mesh points needed for rmax={box:.6g}")
         shooter = _Shooter(mu, potential, l, box, n, laurent, doubled)
-        if not doubled or shooter.coarse_fits(tail[0], bottom):
+        if not doubled or shooter.coarse_fits(tail[0]):
             return shooter
         doubled = (cut, k - 1) if k > 1 else None
 
@@ -580,8 +582,8 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     guess, box, step, past = (_wkb_scale(mu, radii, veff, l, n_r, asym, coulomb)
                               or (None, max(10.0 / math.sqrt(mu), 2.0 * float(radii[dip])),
                                   None, None))
-    # an adaptive step may grow past these probe samples (_segments)
-    tail = None if step is None else (guess, radii[past:400], veff[past:400])
+    # an adaptive step may grow from probe sample past on (_segments)
+    tail = None if step is None else (guess, radii[:400], veff[:400], past)
     if fixed:
         shooter = _Shooter(mu, potential, l, rmax, npoints, laurent)
         # where the Numerov factor f is not positive, u flips sign at every
@@ -605,15 +607,15 @@ def radial_eigenvalue(mu: float, potential: InteractionTriple, l: int, n_r: int,
     unbound_rounds = 0
     for _ in range(_MAX_BOX_GROWTHS):
         n = math.ceil(box / step) if step else int(min(25000.0, max(1000.0, 40.0 * box)))
-        shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, bottom, tail)
+        shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, tail)
         # an adaptive mesh keeps f >= 1/2 at every energy above the bottom
-        # of V_eff: mu h^2 (V - E) / 6 <= 1/2
-        floor = box * math.sqrt(mu * max(0.0, shooter.v_max - bottom) / 3.0)
+        # of V_eff on it: mu h^2 (V - E) / 6 <= 1/2
+        floor = box * math.sqrt(mu * max(0.0, shooter.v_max - shooter.bottom) / 3.0)
         if floor > n:
             if floor > _MAX_POINTS:
                 raise ConvergenceError(f"{floor:.3g} mesh points needed for rmax={box:.6g}")
             n = math.ceil(floor)
-            shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, bottom, tail)
+            shooter = _adaptive_shooter(mu, potential, l, box, n, laurent, tail)
         e = shooter.solve(n_r, guess=guess)
         # a level at or above the potential's large-distance limit is a
         # box artefact; it sinks below on growth only if a real state

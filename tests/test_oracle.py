@@ -247,12 +247,13 @@ class TestGuards:
 
     def test_guess_too_far_below_cannot_be_bracketed(self):
         # at E = -1e6 the Numerov factor is negative over the whole mesh, so
-        # every shot of the downward walk counts spurious nodes
+        # the shot at the guess counts spurious nodes, and the downward walk
+        # goes no lower than the bottom of V_eff, far above it
         with pytest.raises(ConvergenceError, match="from below"):
             self._shooter().solve(0, guess=-1e6)
 
     def test_guess_too_small_cannot_be_bracketed(self):
-        # a bracket of +-1 % around 1e-300 doubles 80 times and stays far
+        # a walk up from 1e-300 in steps of 1 % doubles 80 times and stays far
         # below the level 3
         with pytest.raises(ConvergenceError, match="from above"):
             self._shooter().solve(0, guess=1e-300)
@@ -348,13 +349,16 @@ def _level_scale(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5
 
 
 def _first_mesh(potential: InteractionTriple, l: int, n_r: int, mu: float = 0.5):
-    """The WKB estimate, first box, its steps of the level's scale and the coarse plan."""
+    """The WKB estimate, first box, its steps of the level's scale and the coarse plan.
+
+    The plan holds the Numerov factor f >= 1/2 above the lowest V_eff of the
+    probe samples at r >= box / n, the mesh's first point.
+    """
     radii, values, asym, laurent = oracle._probe(potential, mu)
     veff = values + l * (l + 1) / (2.0 * mu * radii**2)
     guess, box, step, past = oracle._wkb_scale(mu, radii, veff, l, n_r, asym, laurent[0])
     n = math.ceil(box / step)
-    doubled = oracle._segments(mu, guess, radii[past:400], veff[past:400],
-                               float(np.nanmin(veff)), box, n)
+    doubled = oracle._segments(mu, guess, radii[:400], veff[:400], past, box, n)
     return guess, box, n, doubled
 
 
@@ -688,6 +692,15 @@ class TestPotentialSampling:
         n = _scale_box(OSC, 0, 0)[1]
         assert shapes == [(404,), (n,), (2 * n,)]
 
+    @pytest.mark.parametrize("mu", [1e-6, 0.25, 0.5, 3.7, 123.4])
+    def test_probe_radii_are_the_geometric_grid(self, mu):
+        # 10 ** linspace of the logs, with both ends pinned, is how numpy
+        # builds geomspace: the same radii bit for bit, without its overhead
+        radii = oracle._probe(OSC, mu)[0]
+        grid = np.geomspace(1e-3 / math.sqrt(mu), 1e5, 400)
+        assert radii[:400].tobytes() == grid.tobytes()
+        assert radii[400:].tolist() == [1e6, 1e7]
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -801,7 +814,7 @@ class TestWkbStart:
     )
     def test_probe_estimate_falls_inside_the_seeded_bracket(self, potential, l, n_r, exact):
         # where Langer-WKB is exact, only the probe's log spacing separates
-        # the estimate from the level: within half the +-1 % bracket
+        # the estimate from the level: within half the 1 % first step
         estimate = _level_scale(potential, l, n_r)[0]
         assert estimate == pytest.approx(exact, rel=0.5 * oracle._SEED_SPAN)
 
@@ -838,9 +851,9 @@ class TestWkbStart:
 
     def test_estimate_missing_the_seeded_bracket(self):
         # the b = 3 ground state lies 1.2 % above its Langer-WKB estimate,
-        # outside the seeded bracket: the bracket widens and finds the cold
-        # level, and the same extrapolation with the box on twice the
-        # points follows
+        # past the walk's first step of 1 %: a second step brackets it and
+        # finds the cold level, and the same extrapolation with the box on
+        # twice the points follows
         pot = _power_pair(3.0, 1.0)
         estimate = _level_scale(pot, 0, 0)[0]
         box, n = _scale_box(pot, 0, 0)
@@ -944,6 +957,10 @@ CONFINING_LEVELS = (
 )
 
 
+# the Coulomb levels (b, n_r, l) of the oracle benchmark, at mu = 1/2
+COULOMB_BENCH_LEVELS = [(-1.0, 0, 0), (-1.0, 0, 1), (-1.0, 1, 0), (-1.0, 1, 1)]
+
+
 def _reference_segmented(shooter, e):
     """Nodes and edge value of a pass on a mesh with a coarse tail, stepping u itself.
 
@@ -1004,12 +1021,16 @@ class TestSegmentedMesh:
     @pytest.mark.parametrize("n_r", [0, 1, 2])
     @pytest.mark.parametrize("l", [0, 1, 2, 3])
     def test_coulomb_levels_double_the_step(self, a, n_r, l):
-        # s-waves double once: 4h lets f fall below 1/2 at the probe's
-        # lowest V_eff, -a / r at r = 1e-3 / sqrt(mu)
+        # s-waves doubled only once while f >= 1/2 was held above the
+        # probe's lowest V_eff, -a / r at r = 1e-3 / sqrt(mu), far below
+        # the mesh's -a / h; above the mesh's own bottom they take 4h or 8h
+        # like the other waves, and the built mesh keeps the plan
         pot = _power_pair(-1.0, a)
-        n, (cut, k) = _first_mesh(pot, l, n_r)[2:]
-        assert k == 1 if l == 0 else k >= 2
+        guess, box, n, (cut, k) = _first_mesh(pot, l, n_r)
+        assert k >= 2
         assert (n - cut) % 2**k == 0 and n - cut >= 4 * 2**k
+        laurent = oracle._probe(pot, 0.5)[3]
+        assert oracle._Shooter(0.5, pot, l, box, n, laurent, (cut, k)).coarse_fits(guess)
         level = radial_eigenvalue(0.5, pot, l=l, n_r=n_r)
         assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, l), rel=1e-10)
 
@@ -1106,14 +1127,85 @@ class TestSegmentedMesh:
         # the bump lies where u^2 ~ e^-38: the level is Coulomb's
         assert level == pytest.approx(-1.0 / 36.0, rel=1e-10)
 
+    @pytest.mark.parametrize("a", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("n_r", [0, 1, 2])
+    def test_s_wave_shots_keep_the_factor_floor(self, monkeypatch, a, n_r):
+        # the coarse step of an s-wave is held to f >= 1/2 above -a / h, the
+        # mesh's lowest V_eff, and not above the probe's -a / r0 far below
+        # it: no shot may go below -a / h, where f would fall under 1/2
+        pot = _power_pair(-1.0, a)
+        shots = []
+        numerov_input = oracle._Shooter._numerov_input
+
+        def recorded(self, e):
+            args = numerov_input(self, e)
+            shots.append((e, self.bottom, float(self.veff[1:].min()), float(args[0].min())))
+            return args
+
+        monkeypatch.setattr(oracle._Shooter, "_numerov_input", recorded)
+        level = radial_eigenvalue(0.5, pot, l=0, n_r=n_r)
+        assert level == pytest.approx(_exact_level(-1.0, a, 0.5, n_r, 0), rel=1e-10)
+        assert shots
+        for e, bottom, lowest, factor in shots:
+            assert bottom == lowest <= e
+            assert factor >= 0.5
+
     def test_coarse_step_keeps_the_floor_on_the_mesh(self):
         # the same test holds the Numerov factor f >= 1/2 above the bottom
         # of V_eff on the built mesh: Coulomb (1, 1)'s steps of 8h fit
         # above its bottom, -1/8, but not above -1e3
         guess, box, n, doubled = _first_mesh(COULOMB, 1, 1)
         shooter = oracle._Shooter(0.5, COULOMB, 1, box, n, oracle._probe(COULOMB, 0.5)[3], doubled)
-        assert shooter.coarse_fits(guess, -0.125)
-        assert not shooter.coarse_fits(guess, -1e3)
+        assert shooter.bottom == pytest.approx(-0.125, rel=1e-4)
+        assert shooter.coarse_fits(guess)
+        shooter.bottom = -1e3
+        assert not shooter.coarse_fits(guess)
+
+
+class TestAnchoredBracket:
+    """A solve shoots at its guess first, then walks out on one side of it."""
+
+    def _shots(self, monkeypatch, shooter):
+        shots = []
+        shoot = shooter.shoot
+
+        def recorded(e):
+            shots.append(e)
+            return shoot(e)
+
+        monkeypatch.setattr(shooter, "shoot", recorded)
+        return shots
+
+    @pytest.mark.parametrize("offset,side", [(-0.004, 1.0), (0.004, -1.0)])
+    def test_guess_is_shot_first(self, monkeypatch, offset, side):
+        # a guess below the level walks up only, one above it down only:
+        # the guess itself ends the bracket on its side
+        shooter = oracle._Shooter(0.5, COULOMB, 1, 80.0, 20000, oracle._probe(COULOMB, 0.5)[3])
+        cold = shooter.solve(1)
+        guess = cold + offset * abs(cold)
+        shots = self._shots(monkeypatch, shooter)
+        assert shooter.solve(1, guess=guess) == pytest.approx(cold, rel=1e-12)
+        assert shots[0] == guess
+        assert shots[1] == guess + side * oracle._SEED_SPAN * abs(guess)
+        assert all(side * (e - guess) >= 0.0 for e in shots)
+
+    def test_downward_walk_stops_at_the_bottom(self, monkeypatch):
+        # the second step down from 8 would reach 8 - 16, below the lowest
+        # V_eff on the mesh: the shot lands on that bottom instead, and the
+        # bracket [bottom, 8] holds the ground state 3
+        shooter = oracle._Shooter(0.5, OSC, 0, 6.0, 300, oracle._probe(OSC, 0.5)[3])
+        shots = self._shots(monkeypatch, shooter)
+        assert shooter.solve(0, guess=8.0, span=2.0) == pytest.approx(3.0, rel=1e-3)
+        assert shots[:2] == [8.0, shooter.bottom]
+        assert min(shots) == shooter.bottom == pytest.approx((6.0 / 300) ** 2)
+
+    def test_bench_levels_pass_budget(self, monkeypatch):
+        # the 26 levels of the oracle benchmark at a = 1: 346 passes when
+        # each solve walked a +-1 % bracket in from both ends
+        count = _count_sweeps(monkeypatch)
+        for b, n_r, l in CONFINING_LEVELS + COULOMB_BENCH_LEVELS:
+            radial_eigenvalue(0.5, _power_pair(b, 1.0), l=l, n_r=n_r)
+        assert count[0] <= 313
 
 
 def _reference_sweep(f, u1, first_term):
