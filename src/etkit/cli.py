@@ -11,9 +11,11 @@ point, weight undefined, and so on).  A scan still writes a row for
 every grid point, with empty cells where a solve failed, and exits 3 if
 any did.
 
-The generic solver (dos, et_core, and numpy with them) is imported
-inside the commands that run it, so that table1 and --help start
-without it.
+The generic solver (dos and et_core) is imported inside the commands
+that run it, so that table1 and --help start without it.  numpy is not
+imported for solve, phi or scan: the solver scans point by point until
+numpy is loaded (by the Gaussian family, for one) or a long scan has
+evaluated about as many points as importing numpy costs.
 """
 
 from __future__ import annotations

@@ -50,9 +50,14 @@ class InteractionTriple:
     system supplies value, d1 and d2 as consistent callables.  The test
     suite checks the built-in triples against finite differences.
 
-    The scan grid, the oracle mesh and the oracle's probes each call a
-    callable once with a numpy array of points, numpy warnings silenced,
-    so write it with ``np.*`` functions and element-wise arithmetic; a
+    The oracle mesh and the oracle's probes call a callable once with a
+    numpy array of points, numpy warnings silenced, and so does the scan
+    grid once numpy is loaded, by the caller, the Gaussian family or the
+    oracle, or once the process's per-point scans have evaluated about
+    3e5 points (about what importing numpy costs).  Until then the scan
+    calls the callable once per grid point with a float, and the two ways
+    agree to within a few ulps, not bit for bit.  So write it with
+    ``np.*`` functions or plain arithmetic that works element-wise; a
     constant return value is fine.  Scalar-only callables (``math.exp``,
     ``if x > 0``) still work: when the array call raises or returns the
     wrong shape, the callable is called once per point, which is much
@@ -64,8 +69,8 @@ class InteractionTriple:
     size-1 result), since that cannot be told apart from a correct array
     result.  The scan evaluates the one-body and pair derivatives on its
     grid once per ``SystemSpec`` object, array call or not, and reuses
-    them for later solves on the same object, so the callables must be
-    pure functions of their argument.  The solver converts each scalar
+    them for later solves on the same object and grid, so the callables
+    must be pure functions of their argument.  The solver converts each scalar
     result to float, so an ``np.*`` triple pays one numpy call per scalar
     evaluation and no more.
     """

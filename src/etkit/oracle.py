@@ -445,9 +445,10 @@ class _Shooter:
         guess, the probe's Langer-WKB estimate or the level on a coarser
         mesh, is shot first, and the bracket walks out from it in steps of
         span relative to it, on the side its node count points to; without
-        one, from the bottom of V_eff in steps of its rise to the edge.
+        one, or from a guess below the bottom of V_eff on the mesh, from that
+        bottom in steps of V_eff's rise to the edge.
         """
-        if guess is None:
+        if guess is None or guess < self.bottom:
             e, step = self.bottom, max(float(self.veff[-1]) - self.bottom, 1.0)
         else:
             e, step = guess, span * (abs(guess) or 1.0)

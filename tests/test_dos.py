@@ -34,7 +34,7 @@ from etkit import (
 )
 from etkit.dos import _orbit_terms
 from etkit.errors import DegenerateSlope
-from etkit.et_core import _mismatch
+from etkit.et_core import _lhs, _rhs
 
 
 def _harmonic(n_body: int = 2) -> SystemSpec:
@@ -126,7 +126,8 @@ class TestSlopeB:
         for r in (0.4, 1.0, 2.7):
             _, _, b_d = _orbit_terms(spec, lam, r)
             h = 1e-6 * r
-            dfdr = (_mismatch(spec, lam, r + h) - _mismatch(spec, lam, r - h)) / (2 * h)
+            lhs, rhs = _lhs(spec, lam), _rhs(spec)
+            dfdr = ((lhs(r + h) - rhs(r + h)) - (lhs(r - h) - rhs(r - h))) / (2 * h)
             assert b_d == pytest.approx(-dfdr, rel=1e-6)
 
     def test_ratio_is_lambda_times_energy_slope(self):

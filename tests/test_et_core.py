@@ -17,6 +17,7 @@ from etkit import (
     Bound,
     ConfinedParams,
     DomainError,
+    EtkitError,
     GaussianParams,
     InteractionTriple,
     NoSolution,
@@ -172,14 +173,32 @@ class TestNoSolution:
             solve_radius(spec, 1.5)
 
 
-def _loop_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
-    # reference: the scan as one scalar mismatch call per grid point
-    grid = np.geomspace(et_core.BRACKET_LO, et_core.BRACKET_HI, 961)
+# the array grid; the per-point scan runs on et_core._POINTS
+_GRID, _GRID_POINTS = et_core._array_grid()
+
+
+def _mismatch(spec: SystemSpec, q: float):
+    """The stationarity mismatch lhs - rhs at q, as a function of r."""
+    lhs, rhs = et_core._lhs(spec, q), et_core._rhs(spec)
+    return lambda r: lhs(r) - rhs(r)
+
+
+def _on_grid(spec: SystemSpec, q: float) -> tuple:
+    """(grid points, mismatch on them) as solve_radius scans them."""
+    return et_core._mismatch_on_grid(spec, et_core._lhs(spec, q), et_core._rhs(spec))
+
+
+def _loop_brackets(spec: SystemSpec, q: float, grid=None) -> list[tuple[float, float]]:
+    # reference: the scan as one scalar mismatch call per point of grid,
+    # np.geomspace by default
+    if grid is None:
+        grid = np.geomspace(et_core.BRACKET_LO, et_core.BRACKET_HI, 961)
+    mismatch = _mismatch(spec, q)
     brackets = []
     prev_r = prev_f = None
     for r in grid:
         try:
-            f = et_core._mismatch(spec, q, float(r))
+            f = mismatch(float(r))
         except (OverflowError, ValueError, ZeroDivisionError):
             f = math.nan
         if not math.isfinite(f):
@@ -193,12 +212,40 @@ def _loop_brackets(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
     return brackets
 
 
-def _cells(f: np.ndarray) -> list[tuple[float, float]]:
-    return [(lo, hi) for lo, hi, _, _ in et_core._brackets(f)]
+def _cells(points: list, f) -> list[tuple[float, float]]:
+    return [(lo, hi) for lo, hi, _, _ in et_core._brackets(points, f)]
 
 
 def _scan(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
-    return _cells(et_core._mismatch_on_grid(spec, q))
+    return _cells(*_on_grid(spec, q))
+
+
+def _outcome(spec: SystemSpec, q: float):
+    """solve_radius(spec, q), or the class of the error it raises."""
+    try:
+        return solve_radius(spec, q)
+    except EtkitError as exc:
+        return type(exc)
+
+
+def _force_points(mp: pytest.MonkeyPatch) -> None:
+    # scans go point by point, as in a process that has not loaded numpy
+    mp.setattr(et_core, "_per_point", True)
+    mp.setattr(et_core, "_scans_point_by_point", lambda: True)
+
+
+@pytest.fixture
+def point_by_point(monkeypatch):
+    _force_points(monkeypatch)
+    return monkeypatch
+
+
+def _point_scan(spec: SystemSpec, q: float) -> list[tuple[float, float]]:
+    with pytest.MonkeyPatch.context() as mp:
+        _force_points(mp)
+        points, f = _on_grid(spec, q)
+    assert points is et_core._POINTS and type(f) is list
+    return _cells(points, f)
 
 
 def _scalar_only(fn):
@@ -213,9 +260,9 @@ def _scalar_only(fn):
 def _assert_pointwise_rhs_cached(spec: SystemSpec) -> None:
     # the right side that the last scan cached belongs to spec and equals
     # one scalar evaluation per grid point
-    cached, rhs = et_core._grid_rhs
-    assert cached is spec
-    np.testing.assert_array_equal(rhs, [et_core._rhs(spec, r) for r in et_core._GRID_POINTS])
+    cached, points, rhs = et_core._grid_rhs
+    assert cached is spec and points is _GRID_POINTS
+    np.testing.assert_array_equal(rhs, [et_core._rhs(spec)(r) for r in points])
 
 
 _FAMILIES = {
@@ -245,14 +292,28 @@ _Q_GRID = [0.05, 0.5, 1.0, 1.5, 3.2904, 7.0, 40.0, 1498.5, 1e4]
 
 class TestBracketScan:
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
-    def test_array_scan_matches_point_by_point(self, family):
+    def test_array_scan_matches_point_by_point(self, family, monkeypatch):
         for spec in _FAMILIES[family]:
             for q in _Q_GRID:
                 assert _scan(spec, q) == _loop_brackets(spec, q)
-                pointwise = _cells(et_core._on_points(
-                    _scalar_only(lambda r: et_core._mismatch(spec, q, r)), et_core._GRID
+                pointwise = _cells(_GRID_POINTS, et_core._on_points(
+                    _scalar_only(_mismatch(spec, q)), _GRID
                 ))
                 assert pointwise == _loop_brackets(spec, q)
+                # the per-point scan, on its own grid of floats, gives the
+                # cells of the reference loop on that grid; its roots agree
+                # with the array path's to 1e-14 (the grids differ by an ulp
+                # at a few points, scalar powers from numpy's array powers
+                # in the last bit), and a failure raises the same class
+                assert _point_scan(spec, q) == _loop_brackets(spec, q, et_core._POINTS)
+                by_array = _outcome(spec, q)
+                with monkeypatch.context() as mp:
+                    _force_points(mp)
+                    by_point = _outcome(spec, q)
+                if isinstance(by_array, float):
+                    assert by_point == pytest.approx(by_array, rel=1e-14, abs=0.0)
+                else:
+                    assert by_point is by_array
 
     def test_non_finite_points_break_brackets(self):
         # with T' = 0 and N = 2 the mismatch is -r V'(r); V' is NaN for
@@ -266,6 +327,7 @@ class TestBracketScan:
         spec = SystemSpec(N=2, D=3, kinetic=flat, pairwise=pair)
         brackets = _scan(spec, 1.0)
         assert brackets == _loop_brackets(spec, 1.0)
+        assert _point_scan(spec, 1.0) == _loop_brackets(spec, 1.0, et_core._POINTS)
         assert not any(lo < 1.0 < hi for lo, hi in brackets)
         # sin(2 ln r) vanishes at ln r = k pi / 2 for 1 <= |k| <= 8
         assert len(brackets) == 16
@@ -283,7 +345,7 @@ class TestBracketScan:
         builtin = gaussian_system(params, 2)
         spec = dataclasses.replace(builtin, pairwise=pair)
         with pytest.raises(TypeError):
-            et_core._mismatch(spec, 1.5, np.array([1.0, 2.0]))
+            _mismatch(spec, 1.5)(np.array([1.0, 2.0]))
         assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
         _assert_pointwise_rhs_cached(spec)
         assert _scan(spec, 1.5) == _scan(builtin, 1.5)
@@ -302,9 +364,11 @@ class TestBracketScan:
         # T = p^2/2, V = r: r0 = (2 q^2)^(1/3) for N = 2
         assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** (1 / 3), rel=1e-12)
 
-    def test_point_that_raises_reads_as_nan(self):
+    @pytest.mark.parametrize("per_point", [False, True])
+    def test_point_that_raises_reads_as_nan(self, per_point, monkeypatch):
         # d1 of V = r^2/2 divides by zero at r = 1, grid point 480; the `if`
-        # raises ValueError for arrays, so the scan goes point by point
+        # raises ValueError for arrays, so the array scan goes point by
+        # point too
         pair = InteractionTriple(
             value=lambda r: 0.5 * r * r,
             d1=lambda r: 1.0 / 0.0 if r == 1.0 else r,
@@ -312,11 +376,14 @@ class TestBracketScan:
         )
         spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
         with pytest.raises(ValueError):
-            et_core._mismatch(spec, 1.5, et_core._GRID)
-        f = et_core._mismatch_on_grid(spec, 1.5)
-        assert et_core._GRID_POINTS[480] == 1.0
+            _mismatch(spec, 1.5)(_GRID)
+        if per_point:
+            _force_points(monkeypatch)
+        points, f = _on_grid(spec, 1.5)
+        assert (points is et_core._POINTS) is per_point
+        assert points[480] == 1.0
         assert np.flatnonzero(np.isnan(f)).tolist() == [480]
-        assert _cells(f) == _loop_brackets(spec, 1.5)
+        assert _cells(points, f) == _loop_brackets(spec, 1.5, points)
         # T = p^2/2, V = r^2/2: r0 = (2 q^2)^(1/4) for N = 2
         assert solve_radius(spec, 1.5) == pytest.approx((2.0 * 1.5**2) ** 0.25, rel=1e-12)
 
@@ -324,9 +391,9 @@ class TestBracketScan:
         # T = |p| and U = k s have constant derivatives; the zero triple is
         # constant everywhere
         spec = baryon_system(BaryonParams(tension_k=0.2, g=0.0), 3)
-        f = et_core._mismatch(spec, 2.0, et_core._GRID)
-        assert f.shape == et_core._GRID.shape
-        expected = [et_core._mismatch(spec, 2.0, r) for r in et_core._GRID_POINTS]
+        f = _mismatch(spec, 2.0)(_GRID)
+        assert f.shape == _GRID.shape
+        expected = [_mismatch(spec, 2.0)(r) for r in _GRID_POINTS]
         assert f.tolist() == expected
         # E = 2 sqrt(k N q) at g = 0
         assert energy(spec, 2.0).E == pytest.approx(2.0 * math.sqrt(0.2 * 3 * 2.0), rel=1e-12)
@@ -340,6 +407,7 @@ class TestBracketScan:
                                 d2=lambda s: 4.0)
         spec = SystemSpec(N=2, D=3, kinetic=kin, onebody=one)
         assert _scan(spec, 1.0) == _loop_brackets(spec, 1.0) == [(1.0, 1.0)]
+        assert _point_scan(spec, 1.0) == [(1.0, 1.0)]
         assert solve_radius(spec, 1.0) == 1.0
 
     def test_wrong_shape_falls_back(self):
@@ -351,7 +419,7 @@ class TestBracketScan:
             d2=lambda r: 1.0,
         )
         spec = SystemSpec(N=2, D=3, kinetic=_coulomb_pair(2).kinetic, pairwise=pair)
-        assert np.shape(et_core._mismatch(spec, 1.5, et_core._GRID)) == (961, 961)
+        assert np.shape(_mismatch(spec, 1.5)(_GRID)) == (961, 961)
         assert _scan(spec, 1.5) == _loop_brackets(spec, 1.5)
         _assert_pointwise_rhs_cached(spec)
         assert energy(spec, 1.5).E == pytest.approx(1.5 * math.sqrt(2.0), rel=1e-12)
@@ -385,6 +453,70 @@ class TestOnPoints:
             v = et_core._on_points(_scalar_only(np.exp), self.X)
         assert v[3] == math.inf
 
+    def test_per_point_scan_keeps_the_rules(self):
+        # the per-point scan calls _each_point on a list of floats: the same
+        # inf on overflow and NaN on ValueError or ZeroDivisionError
+        def fn(x):
+            if x == 1.0:
+                raise ValueError("undefined")
+            if x == 2.0:
+                raise ZeroDivisionError("undefined")
+            return math.exp(x)
+
+        v = et_core._each_point(fn, self.X.tolist())
+        assert v[0] == math.exp(0.5) and math.isnan(v[1]) and math.isnan(v[2])
+        assert v[3] == math.inf
+
+
+class TestPointByPoint:
+    """The scan point by point, until numpy is loaded or worth loading."""
+
+    def test_grid_is_the_geometric_grid_to_an_ulp(self):
+        points = et_core._POINTS
+        assert len(points) == len(_GRID_POINTS) == 961
+        assert (points[0], points[480], points[-1]) == (1e-6, 1.0, 1e6)
+        assert all(abs(a - b) <= math.ulp(b) for a, b in zip(points, _GRID_POINTS))
+        assert points == sorted(set(points))
+
+    def test_cached_rhs_is_replaced_after_the_switch(self, point_by_point):
+        # a right side cached point by point belongs to the float grid; the
+        # first array scan of the same spec object evaluates it afresh
+        spec = confined_system(ConfinedParams(m=1.0, omega=1.5, g=0.3), 3)
+        by_point = solve_radius(spec, 1.5)
+        cached, points, rhs = et_core._grid_rhs
+        assert cached is spec and points is et_core._POINTS and type(rhs) is list
+        point_by_point.setattr(et_core, "_scans_point_by_point", lambda: False)
+        by_array = solve_radius(spec, 1.5)
+        cached, points, rhs = et_core._grid_rhs
+        assert cached is spec and points is _GRID_POINTS and isinstance(rhs, np.ndarray)
+        assert by_array == solve_radius(dataclasses.replace(spec), 1.5)
+        assert by_array == pytest.approx(by_point, rel=1e-14, abs=0.0)
+
+    def test_switch_comes_after_the_budget(self):
+        # counted, not timed, in a fresh interpreter: each per-point scan
+        # adds 961 points, and 961 more for a spec's first right side; the
+        # scan after the one that spends the budget imports numpy
+        code = (
+            "import sys\n"
+            "from etkit import PowerLaw2Params, et_core, powerlaw2_system\n"
+            "et_core._POINT_BUDGET = 5 * 961\n"
+            "spec = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2)\n"
+            "for q in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5):\n"
+            "    r0 = et_core.solve_radius(spec, q)\n"
+            "    print(et_core._points_evaluated, 'numpy' in sys.modules, r0.hex())\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert res.returncode == 0, res.stderr
+        rows = [line.split() for line in res.stdout.splitlines()]
+        assert [(int(n), loaded) for n, loaded, _ in rows] == [
+            (1922, "False"), (2883, "False"), (3844, "False"), (4805, "False"),
+            (4805, "True"), (4805, "True"),
+        ]
+        spec = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2)
+        for q, (_, _, r0) in zip((1.0, 1.5, 2.0, 2.5, 3.0, 3.5), rows):
+            assert float.fromhex(r0) == pytest.approx(solve_radius(spec, q), rel=1e-14, abs=0.0)
+
 
 class TestGridRhsReuse:
     """The q-independent right side is evaluated once per spec object."""
@@ -394,20 +526,20 @@ class TestGridRhsReuse:
         # the mismatch in one uncached array call; scalar calls of the
         # power laws may differ from it in the last bit
         with np.errstate(all="ignore"):
-            return np.asarray(et_core._mismatch(spec, q, et_core._GRID), dtype=float)
+            return np.asarray(_mismatch(spec, q)(_GRID), dtype=float)
 
     @pytest.mark.parametrize("family", sorted(_FAMILIES))
     def test_miss_and_hit_match_a_fresh_array_call(self, family, monkeypatch):
-        monkeypatch.setattr(et_core, "_grid_rhs", (None, None))
+        monkeypatch.setattr(et_core, "_grid_rhs", (None, None, None))
         for spec in _FAMILIES[family]:
             assert et_core._grid_rhs[0] is not spec
             np.testing.assert_array_equal(
-                et_core._mismatch_on_grid(spec, 1.5), self._fresh(spec, 1.5)
+                _on_grid(spec, 1.5)[1], self._fresh(spec, 1.5)
             )
             cached = et_core._grid_rhs
             assert cached[0] is spec
             np.testing.assert_array_equal(
-                et_core._mismatch_on_grid(spec, 40.0), self._fresh(spec, 40.0)
+                _on_grid(spec, 40.0)[1], self._fresh(spec, 40.0)
             )
             assert et_core._grid_rhs is cached
 
@@ -416,14 +548,14 @@ class TestGridRhsReuse:
         a, b = _FAMILIES[family][0], _FAMILIES[family][-1]
         for spec, q in ((a, 1.5), (b, 1.5), (a, 7.0)):
             np.testing.assert_array_equal(
-                et_core._mismatch_on_grid(spec, q), self._fresh(spec, q)
+                _on_grid(spec, q)[1], self._fresh(spec, q)
             )
 
     def test_scalar_only_kinetic_reuses_the_cached_rhs(self, monkeypatch):
         # the per-point mismatch recomputed the right side at every grid
         # point: 967 pair-derivative calls on the first solve, 966 on a
         # repeat, where Brent and the residual check need only a few
-        monkeypatch.setattr(et_core, "_grid_rhs", (None, None))
+        monkeypatch.setattr(et_core, "_grid_rhs", (None, None, None))
         base = powerlaw2_system(PowerLaw2Params(m=1.0, a=1.0, b=1.0), 2)
         calls = [0]
 
@@ -453,9 +585,9 @@ class TestGridRhsReuse:
             return base.pairwise.d1(r)
 
         spec = dataclasses.replace(base, pairwise=dataclasses.replace(base.pairwise, d1=d1))
-        f = et_core._mismatch_on_grid(spec, 1.5)
-        [(lo, hi, f_lo, f_hi)] = et_core._brackets(f)
-        index = et_core._GRID_POINTS.index
+        points, f = _on_grid(spec, 1.5)
+        [(lo, hi, f_lo, f_hi)] = et_core._brackets(points, f)
+        index = points.index
         assert (f_lo, f_hi) == (f[index(lo)], f[index(hi)])
         solve_radius(spec, 1.5)
         assert radii and lo not in radii and hi not in radii

@@ -245,18 +245,20 @@ class TestGuards:
     def _shooter(self, npoints=300):
         return oracle._Shooter(0.5, OSC, 0, 6.0, npoints, oracle._probe(OSC, 0.5)[3])
 
-    def test_guess_too_far_below_cannot_be_bracketed(self):
-        # at E = -1e6 the Numerov factor is negative over the whole mesh, so
-        # the shot at the guess counts spurious nodes, and the downward walk
-        # goes no lower than the bottom of V_eff, far above it
-        with pytest.raises(ConvergenceError, match="from below"):
-            self._shooter().solve(0, guess=-1e6)
+    def test_guess_far_below_walks_up_from_the_bottom(self):
+        # at E = -1e6 the Numerov factor is negative over the whole mesh; a
+        # guess below the bottom of V_eff (4e-4 here) is no guess, and the
+        # walk goes up from the bottom to the level 3
+        shooter = self._shooter()
+        assert -1e6 < shooter.bottom
+        assert shooter.solve(0, guess=-1e6) == pytest.approx(3.0, rel=1e-3)
 
-    def test_guess_too_small_cannot_be_bracketed(self):
-        # a walk up from 1e-300 in steps of 1 % doubles 80 times and stays far
-        # below the level 3
-        with pytest.raises(ConvergenceError, match="from above"):
-            self._shooter().solve(0, guess=1e-300)
+    def test_tiny_guess_walks_up_from_the_bottom(self):
+        # a walk up from 1e-300 in steps of 1 % doubled 80 times and stayed
+        # far below the level 3; 1e-300 lies below the bottom, so it is no guess
+        shooter = self._shooter()
+        assert 1e-300 < shooter.bottom
+        assert shooter.solve(0, guess=1e-300) == shooter.solve(0)
 
     def test_node_count_jump_returns_the_jump(self, monkeypatch):
         # no energy with exactly one node: the bisection closes on the jump
